@@ -20,7 +20,11 @@
 
 namespace asymnvm {
 
-/** A persistent ordered map implemented as a binary search tree. */
+/**
+ * A persistent ordered map implemented as a binary search tree. Its ops
+ * are serial on purpose: the BST has no coroutine bodies, so it never
+ * joins a reactor window (it is not one of the pipelined structures).
+ */
 class Bst : public DsBase
 {
   public:

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "backend/layout.h"
 #include "common/stats.h"
@@ -51,6 +52,33 @@ struct DsOptions
      */
     uint64_t retry_backoff_ns = 500;
     uint64_t retry_backoff_cap_ns = 8000;
+};
+
+/**
+ * A write descent's read set for phase-B validation (DESIGN.md §14).
+ * Stamps are kept only inside an active reactor window: outside one no
+ * sibling op can write under the descent, so the set is trivially clean
+ * and a lone op allocates nothing for it.
+ */
+class ReadSet
+{
+  public:
+    explicit ReadSet(FrontendSession *s) : s_(s) {}
+
+    /** Record the read of @p addr_raw that @p aw served. */
+    void add(uint64_t addr_raw, const FrontendSession::ReadAwaitable &aw)
+    {
+        if (s_->pipelineActive())
+            stamps_.push_back({addr_raw, aw.served_seq});
+    }
+    void clear() { stamps_.clear(); }
+
+    /** True when no sibling window write dirtied a recorded read. */
+    bool clean() const { return s_->pipelineReadSetClean(stamps_); }
+
+  private:
+    FrontendSession *s_;
+    std::vector<FrontendSession::ReadStamp> stamps_;
 };
 
 /** Base class wiring a structure handle to its session and naming entry. */
@@ -133,12 +161,95 @@ class DsBase
      * Shared handles under the seqlock protocol must not: readerLock /
      * readerValidate use session-global read-tracking state that
      * interleaved coroutines would trample, so multi-key entry points
-     * fall back to serial protected reads (the lock-holding writer is
-     * exempt — its reads are already unprotected).
+     * fall back to one protected op at a time (the lock-holding writer
+     * is exempt — its reads are already unprotected).
      */
     bool pipelineEligible()
     {
         return !opt_.shared || s_->holdsWriterLock(id_, backend_);
+    }
+
+    /**
+     * True when a seqlock-protected read coroutine was admitted into an
+     * active reactor window, where its reads would skip the protocol;
+     * such a read must fail with InvalidArgument instead.
+     */
+    bool unprotectedPipelinedRead()
+    {
+        return s_->pipelineActive() && !pipelineEligible();
+    }
+
+    /**
+     * Run one coroutine op to completion: the serial entry points are
+     * depth-1 drivers of their *Async bodies. A lone op takes
+     * executePipelined's single-op branch, whose reads fall through to
+     * the synchronous read path.
+     */
+    Status drive(OpTask op)
+    {
+        Status st = Status::Ok;
+        s_->executePipelined(std::span<OpTask>(&op, 1),
+                             std::span<Status>(&st, 1));
+        return st;
+    }
+
+    /** What a *Many entry point's ops do, for runMany's fallback. */
+    enum class ManyKind
+    {
+        Write,        //!< fallback: each op alone
+        Read,         //!< fallback: each op alone under optimisticRead
+        SnapshotRead, //!< lock-free reader: always pipelines
+    };
+
+    /**
+     * Shared body of the *Many entry points: up to pipeline_depth ops
+     * from @p make(i) in flight, results[i] receiving op i's status. A
+     * handle that is not pipelineEligible() runs them one at a time
+     * through the same coroutines instead, reads under the seqlock
+     * protocol.
+     */
+    template <typename MakeOp>
+    Status runMany(size_t n, Status *results, ManyKind kind, MakeOp &&make)
+    {
+        if (n == 0)
+            return Status::Ok;
+        if (kind != ManyKind::SnapshotRead && !pipelineEligible()) {
+            for (size_t i = 0; i < n; ++i) {
+                auto one = [&] { return drive(make(i)); };
+                results[i] =
+                    kind == ManyKind::Read ? optimisticRead(one) : one();
+            }
+            return Status::Ok;
+        }
+        std::vector<OpTask> ops;
+        ops.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            ops.push_back(make(i));
+        s_->executePipelined(std::span<OpTask>(ops),
+                             std::span<Status>(results, n));
+        return Status::Ok;
+    }
+
+    /**
+     * Gather candidates around a tree descent's taken route: the
+     * children nearest to index @p r of @p node (excluding r itself),
+     * nearest first, each @p len bytes, written to @p out; returns how
+     * many. Range locality makes them the likeliest next misses, and
+     * their addresses are known before the demanded read, so they can
+     * ride its doorbell.
+     */
+    template <typename Node, size_t N>
+    static size_t nearestChildren(const Node &node, uint32_t r, uint32_t len,
+                                  PrefetchCandidate (&out)[N])
+    {
+        size_t n = 0;
+        for (uint32_t dist = 1; dist < node.count && n < N; ++dist) {
+            if (r + dist < node.count)
+                out[n++] = PrefetchCandidate{node.children[r + dist], len};
+            if (dist <= r && n < N)
+                out[n++] = PrefetchCandidate{node.children[r - dist], len};
+        }
+        return n;
     }
 
     /** Typed whole-node write through the log pipeline. */

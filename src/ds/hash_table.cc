@@ -130,71 +130,19 @@ HashTable::bucketPtr(Key key) const
     return RemotePtr(backend_, array_off_ + idx * 8);
 }
 
-Status
-HashTable::readBucketHead(Key key, uint64_t *head_raw)
+ReadHint
+HashTable::bucketHint() const
 {
     ReadHint hint;
     hint.ds = id_;
     hint.cacheable = true; // hot buckets stay in front-end DRAM
-    return s_->read(bucketPtr(key), head_raw, 8, hint);
+    return hint;
 }
 
 Status
 HashTable::put(Key key, const Value &v)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        // Another writer may have run since we last held the lock.
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            return st;
-    }
-    st = s_->opBegin(id_, backend_, OpType::Insert, key, v.bytes.data(),
-                     Value::kSize);
-    if (!ok(st))
-        return st;
-
-    uint64_t head_raw = 0;
-    st = readBucketHead(key, &head_raw);
-    if (!ok(st))
-        return st;
-    uint64_t cur_raw = head_raw;
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        const RemotePtr cur = RemotePtr::fromRaw(cur_raw);
-        Node node;
-        st = readNode(cur, &node, 0, false);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            node.value = v; // update in place (whole-node rewrite)
-            st = writeNode(cur, node);
-            if (!ok(st))
-                return st;
-            return s_->opEnd();
-        }
-        cur_raw = node.next_raw;
-    }
-    Node fresh{};
-    fresh.key = key;
-    fresh.next_raw = head_raw;
-    fresh.value = v;
-    RemotePtr p;
-    st = allocNode(fresh, &p);
-    if (!ok(st))
-        return st;
-    const uint64_t new_head = p.raw();
-    st = s_->logWrite(id_, bucketPtr(key), &new_head, 8);
-    if (!ok(st))
-        return st;
-    ++count_;
-    st = s_->writeAux(id_, backend_, 2, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return drive(putAsync(key, v));
 }
 
 OpTask
@@ -205,6 +153,7 @@ HashTable::putAsync(Key key, Value v)
     if (!ok(st))
         co_return st;
     if (opt_.shared && !held) {
+        // Another writer may have run since we last held the lock.
         st = s_->readAux(id_, backend_, 2, &count_);
         if (!ok(st))
             co_return st;
@@ -222,24 +171,22 @@ HashTable::putAsync(Key key, Value v)
     // own op-log record so phase B's memory logs reference it.
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: put()'s chain walk with every read stamped so the set can
-    // be validated against sibling window writes before we mutate.
+    // Phase A: the chain walk with every read stamped so the set can be
+    // validated against sibling window writes before we mutate.
     uint64_t head_raw = 0;
     uint64_t match_raw = 0;
     Node match{};
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
     while (true) {
-        stamps.clear();
+        reads.clear();
         match_raw = 0;
         {
-            ReadHint hint;
-            hint.ds = id_;
-            hint.cacheable = true; // hot buckets stay in front-end DRAM
-            auto aw = s_->asyncRead(bucketPtr(key), &head_raw, 8, hint);
+            auto aw = s_->asyncRead(bucketPtr(key), &head_raw, 8,
+                                    bucketHint());
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({bucketPtr(key).raw(), aw.served_seq});
+            reads.add(bucketPtr(key).raw(), aw);
         }
         uint64_t cur_raw = head_raw;
         uint32_t hops = 0;
@@ -250,7 +197,7 @@ HashTable::putAsync(Key key, Value v)
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({cur_raw, aw.served_seq});
+            reads.add(cur_raw, aw);
             if (node.key == key) {
                 match_raw = cur_raw;
                 match = node;
@@ -258,14 +205,14 @@ HashTable::putAsync(Key key, Value v)
             }
             cur_raw = node.next_raw;
         }
-        if (s_->pipelineReadSetClean(stamps))
+        if (reads.clean())
             break;
         // A sibling relinked this chain while we were suspended; re-walk
         // against the now-hot local tiers.
         s_->notePipelineRestart();
     }
 
-    // Phase B: put()'s serial tail, inline and unsuspended.
+    // Phase B: the write-out, inline and unsuspended.
     s_->restoreOpRef(backend_, opref);
     if (match_raw != 0) {
         match.value = v; // update in place (whole-node rewrite)
@@ -297,62 +244,25 @@ Status
 HashTable::putMany(std::span<const std::pair<Key, Value>> kvs,
                    Status *results)
 {
-    if (kvs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < kvs.size(); ++i)
-            results[i] = put(kvs[i].first, kvs[i].second);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(kvs.size());
-    for (const auto &[key, value] : kvs)
-        ops.push_back(putAsync(key, value));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, kvs.size()));
-    return Status::Ok;
-}
-
-Status
-HashTable::getLocked(Key key, Value *out)
-{
-    uint64_t cur_raw = 0;
-    Status st = readBucketHead(key, &cur_raw);
-    if (!ok(st))
-        return st;
-    // Chain nodes form a stable run behind their bucket: labeling the
-    // walk with the bucket address lets a repeated lookup gather the
-    // whole chain in one doorbell.
-    const uint64_t chain_stream = bucketPtr(key).raw();
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, 0, false, false,
-                      {}, chain_stream);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            *out = node.value;
-            return Status::Ok;
-        }
-        cur_raw = node.next_raw;
-    }
-    return hops >= kMaxChainHops ? Status::Conflict : Status::NotFound;
+    return runMany(kvs.size(), results, ManyKind::Write, [&](size_t i) {
+        return putAsync(kvs[i].first, kvs[i].second);
+    });
 }
 
 Status
 HashTable::get(Key key, Value *out)
 {
-    return optimisticRead([&] { return getLocked(key, out); });
+    return optimisticRead([&] { return drive(getAsync(key, out)); });
 }
 
 OpTask
 HashTable::getAsync(Key key, Value *out)
 {
-    // Mirror of getLocked with every remote read co_awaited: a cache
-    // miss suspends the walk and the session reactor gathers it with
-    // the other in-flight lookups' misses.
-    //
+    // The chain walk with every remote read co_awaited: a cache miss
+    // suspends the walk and the session reactor gathers it with the
+    // other in-flight lookups' misses.
+    if (unprotectedPipelinedRead())
+        co_return Status::InvalidArgument;
     // Read-your-writes: wait out a same-key write admitted earlier in
     // this window (it holds the (ds, key) gate until its local effects
     // land); readers hold nothing and never serialize on each other.
@@ -360,14 +270,14 @@ HashTable::getAsync(Key key, Value *out)
         co_await s_->pipelineYield();
     uint64_t cur_raw = 0;
     {
-        ReadHint hint;
-        hint.ds = id_;
-        hint.cacheable = true; // hot buckets stay in front-end DRAM
         const Status st =
-            co_await s_->asyncRead(bucketPtr(key), &cur_raw, 8, hint);
+            co_await s_->asyncRead(bucketPtr(key), &cur_raw, 8, bucketHint());
         if (!ok(st))
             co_return st;
     }
+    // Chain nodes form a stable run behind their bucket: labeling the
+    // walk with the bucket address lets a repeated lookup gather the
+    // whole chain in one doorbell.
     const uint64_t chain_stream = bucketPtr(key).raw();
     uint32_t hops = 0;
     while (cur_raw != 0 && hops++ < kMaxChainHops) {
@@ -389,20 +299,9 @@ HashTable::getAsync(Key key, Value *out)
 Status
 HashTable::getMany(std::span<const Key> keys, Value *vals, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = get(keys[i], &vals[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(getAsync(keys[i], &vals[i]));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(keys.size(), results, ManyKind::Read, [&](size_t i) {
+        return getAsync(keys[i], &vals[i]);
+    });
 }
 
 bool
@@ -415,63 +314,7 @@ HashTable::contains(Key key)
 Status
 HashTable::erase(Key key)
 {
-    const bool held = s_->holdsWriterLock(id_, backend_);
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    if (opt_.shared && !held) {
-        st = s_->readAux(id_, backend_, 2, &count_);
-        if (!ok(st))
-            return st;
-    }
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-
-    uint64_t head_raw = 0;
-    st = readBucketHead(key, &head_raw);
-    if (!ok(st))
-        return st;
-    uint64_t prev_raw = 0;
-    Node prev{};
-    uint64_t cur_raw = head_raw;
-    uint32_t hops = 0;
-    while (cur_raw != 0 && hops++ < kMaxChainHops) {
-        const RemotePtr cur = RemotePtr::fromRaw(cur_raw);
-        Node node;
-        st = readNode(cur, &node, 0, false);
-        if (!ok(st))
-            return st;
-        if (node.key == key) {
-            if (prev_raw == 0) {
-                st = s_->logWrite(id_, bucketPtr(key), &node.next_raw, 8);
-            } else {
-                prev.next_raw = node.next_raw;
-                st = writeNode(RemotePtr::fromRaw(prev_raw), prev);
-            }
-            if (!ok(st))
-                return st;
-            if (opt_.shared) {
-                // Readers may still traverse the node: defer the reuse
-                // past the lazy-GC window (Section 6.2).
-                s_->retire(id_, cur, sizeof(Node));
-            } else {
-                st = s_->free(cur, sizeof(Node));
-                if (!ok(st))
-                    return st;
-            }
-            --count_;
-            st = s_->writeAux(id_, backend_, 2, count_);
-            if (!ok(st))
-                return st;
-            return s_->opEnd();
-        }
-        prev_raw = cur_raw;
-        prev = node;
-        cur_raw = node.next_raw;
-    }
-    st = s_->opEnd();
-    return ok(st) ? Status::NotFound : st;
+    return drive(eraseAsync(key));
 }
 
 OpTask
@@ -494,27 +337,25 @@ HashTable::eraseAsync(Key key)
         co_return st;
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: erase()'s chain walk (tracking the predecessor copy),
-    // stamped for validation.
+    // Phase A: the chain walk (tracking the predecessor copy), stamped
+    // for validation.
     uint64_t match_raw = 0;
     Node match{};
     uint64_t prev_raw = 0;
     Node prev{};
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
     while (true) {
-        stamps.clear();
+        reads.clear();
         match_raw = 0;
         prev_raw = 0;
         uint64_t head_raw = 0;
         {
-            ReadHint hint;
-            hint.ds = id_;
-            hint.cacheable = true;
-            auto aw = s_->asyncRead(bucketPtr(key), &head_raw, 8, hint);
+            auto aw = s_->asyncRead(bucketPtr(key), &head_raw, 8,
+                                    bucketHint());
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({bucketPtr(key).raw(), aw.served_seq});
+            reads.add(bucketPtr(key).raw(), aw);
         }
         uint64_t cur_raw = head_raw;
         uint32_t hops = 0;
@@ -525,7 +366,7 @@ HashTable::eraseAsync(Key key)
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({cur_raw, aw.served_seq});
+            reads.add(cur_raw, aw);
             if (node.key == key) {
                 match_raw = cur_raw;
                 match = node;
@@ -535,7 +376,7 @@ HashTable::eraseAsync(Key key)
             prev = node;
             cur_raw = node.next_raw;
         }
-        if (s_->pipelineReadSetClean(stamps))
+        if (reads.clean())
             break;
         s_->notePipelineRestart();
     }
@@ -556,6 +397,8 @@ HashTable::eraseAsync(Key key)
     if (!ok(st))
         co_return st;
     if (opt_.shared) {
+        // Readers may still traverse the node: defer the reuse past the
+        // lazy-GC window (Section 6.2).
         s_->retire(id_, cur, sizeof(Node));
     } else {
         st = s_->free(cur, sizeof(Node));
@@ -572,20 +415,8 @@ HashTable::eraseAsync(Key key)
 Status
 HashTable::eraseMany(std::span<const Key> keys, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = erase(keys[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (const Key key : keys)
-        ops.push_back(eraseAsync(key));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(keys.size(), results, ManyKind::Write,
+                   [&](size_t i) { return eraseAsync(keys[i]); });
 }
 
 } // namespace asymnvm

@@ -6,6 +6,7 @@ namespace asymnvm {
 
 namespace {
 constexpr uint32_t kMaxHeight = 64;
+constexpr size_t kPathReserve = 8; //!< descents deeper than this are rare
 } // namespace
 
 Status
@@ -80,243 +81,62 @@ MvBpTree::routeIndex(const Node &n, Key key)
 }
 
 Status
-MvBpTree::insertRec(uint64_t node_raw, uint32_t depth, Key key,
-                    const Value &v, bool pin, uint64_t *new_raw,
-                    Split *split, bool *added)
+MvBpTree::copyInsert(Node &node, Key key, uint64_t child, uint64_t *new_raw,
+                     Split *split)
 {
-    if (depth > kMaxHeight)
-        return Status::Corruption;
-    Node node;
-    Status st = readNode(RemotePtr::fromRaw(node_raw), &node, depth,
-                         true, pin);
+    Node right{};
+    Node *target = &node;
+    const bool full = node.count == kFanout;
+    if (full) {
+        right.is_leaf = node.is_leaf;
+        right.count = kFanout / 2;
+        for (uint32_t i = 0; i < kFanout / 2; ++i) {
+            right.keys[i] = node.keys[kFanout / 2 + i];
+            right.children[i] = node.children[kFanout / 2 + i];
+        }
+        node.count = kFanout / 2;
+        if (key >= right.keys[0])
+            target = &right;
+    }
+    uint32_t pos = 0;
+    while (pos < target->count && target->keys[pos] < key)
+        ++pos;
+    for (uint32_t i = target->count; i > pos; --i) {
+        target->keys[i] = target->keys[i - 1];
+        target->children[i] = target->children[i - 1];
+    }
+    target->keys[pos] = key;
+    target->children[pos] = child;
+    ++target->count;
+
+    RemotePtr left_ptr;
+    Status st = allocNode(node, &left_ptr);
     if (!ok(st))
         return st;
-    if (node.count > kFanout)
-        return Status::Corruption;
-    // Every version change supersedes this node.
-    s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-
-    if (node.is_leaf) {
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (node.keys[i] == key) {
-                // Immutable cells: new cell, new leaf copy.
-                RemotePtr cell;
-                st = s_->alloc(backend_, Value::kSize, &cell);
-                if (!ok(st))
-                    return st;
-                st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-                if (!ok(st))
-                    return st;
-                s_->retire(id_, RemotePtr::fromRaw(node.children[i]),
-                           Value::kSize);
-                node.children[i] = cell.raw();
-                RemotePtr p;
-                st = allocNode(node, &p);
-                if (!ok(st))
-                    return st;
-                *new_raw = p.raw();
-                return Status::Ok;
-            }
-        }
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        *added = true;
-
-        if (node.count == kFanout) {
-            Node right{};
-            right.is_leaf = 1;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            node.count = kFanout / 2;
-            Node *target = key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count && target->keys[pos] < key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = key;
-            target->children[pos] = cell.raw();
-            ++target->count;
-
-            RemotePtr left_ptr, right_ptr;
-            st = allocNode(node, &left_ptr);
-            if (!ok(st))
-                return st;
-            st = allocNode(right, &right_ptr);
-            if (!ok(st))
-                return st;
-            *new_raw = left_ptr.raw();
-            split->happened = true;
-            split->sep_key = right.keys[0];
-            split->right_raw = right_ptr.raw();
-            return Status::Ok;
-        }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = key;
-        node.children[pos] = cell.raw();
-        ++node.count;
-        RemotePtr p;
-        st = allocNode(node, &p);
-        if (!ok(st))
-            return st;
-        *new_raw = p.raw();
+    *new_raw = left_ptr.raw();
+    split->happened = full;
+    if (!full)
         return Status::Ok;
-    }
-
-    const uint32_t idx = routeIndex(node, key);
-    uint64_t new_child_raw = 0;
-    Split child_split;
-    st = insertRec(node.children[idx], depth + 1, key, v, pin,
-                   &new_child_raw, &child_split, added);
+    RemotePtr right_ptr;
+    st = allocNode(right, &right_ptr);
     if (!ok(st))
         return st;
-    node.children[idx] = new_child_raw;
-
-    if (child_split.happened) {
-        if (node.count == kFanout) {
-            Node right{};
-            right.is_leaf = 0;
-            right.count = kFanout / 2;
-            for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                right.keys[i] = node.keys[kFanout / 2 + i];
-                right.children[i] = node.children[kFanout / 2 + i];
-            }
-            node.count = kFanout / 2;
-            Node *target =
-                child_split.sep_key >= right.keys[0] ? &right : &node;
-            uint32_t pos = 0;
-            while (pos < target->count &&
-                   target->keys[pos] < child_split.sep_key)
-                ++pos;
-            for (uint32_t i = target->count; i > pos; --i) {
-                target->keys[i] = target->keys[i - 1];
-                target->children[i] = target->children[i - 1];
-            }
-            target->keys[pos] = child_split.sep_key;
-            target->children[pos] = child_split.right_raw;
-            ++target->count;
-
-            RemotePtr left_ptr, right_ptr;
-            st = allocNode(node, &left_ptr);
-            if (!ok(st))
-                return st;
-            st = allocNode(right, &right_ptr);
-            if (!ok(st))
-                return st;
-            *new_raw = left_ptr.raw();
-            split->happened = true;
-            split->sep_key = right.keys[0];
-            split->right_raw = right_ptr.raw();
-            return Status::Ok;
-        }
-        uint32_t pos = 0;
-        while (pos < node.count && node.keys[pos] < child_split.sep_key)
-            ++pos;
-        for (uint32_t i = node.count; i > pos; --i) {
-            node.keys[i] = node.keys[i - 1];
-            node.children[i] = node.children[i - 1];
-        }
-        node.keys[pos] = child_split.sep_key;
-        node.children[pos] = child_split.right_raw;
-        ++node.count;
-    }
-    RemotePtr p;
-    st = allocNode(node, &p);
-    if (!ok(st))
-        return st;
-    *new_raw = p.raw();
+    split->sep_key = right.keys[0];
+    split->right_raw = right_ptr.raw();
     return Status::Ok;
-}
-
-Status
-MvBpTree::insertOne(Key key, const Value &v, bool pin)
-{
-    Status st = s_->opBegin(id_, backend_, OpType::Insert, key,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-    const uint64_t root_raw = workingRoot();
-    bool added = false;
-    uint64_t new_root_raw = 0;
-    if (root_raw == 0) {
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            return st;
-        Node leaf{};
-        leaf.is_leaf = 1;
-        leaf.count = 1;
-        leaf.keys[0] = key;
-        leaf.children[0] = cell.raw();
-        RemotePtr p;
-        st = allocNode(leaf, &p);
-        if (!ok(st))
-            return st;
-        new_root_raw = p.raw();
-        added = true;
-    } else {
-        Split split;
-        st = insertRec(root_raw, 0, key, v, pin, &new_root_raw, &split,
-                       &added);
-        if (!ok(st))
-            return st;
-        if (split.happened) {
-            Node new_root{};
-            new_root.is_leaf = 0;
-            new_root.count = 2;
-            new_root.keys[0] = 0;
-            new_root.children[0] = new_root_raw;
-            new_root.keys[1] = split.sep_key;
-            new_root.children[1] = split.right_raw;
-            RemotePtr p;
-            st = allocNode(new_root, &p);
-            if (!ok(st))
-                return st;
-            new_root_raw = p.raw();
-        }
-    }
-    stageRoot(new_root_raw);
-    if (added) {
-        ++count_;
-        st = s_->writeAux(id_, backend_, 1, count_);
-        if (!ok(st))
-            return st;
-    }
-    return s_->opEnd();
 }
 
 Status
 MvBpTree::insert(Key key, const Value &v)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    return insertOne(key, v, /*pin=*/false);
+    return drive(insertAsync(key, v));
 }
 
 OpTask
-MvBpTree::insertAsync(Key key, Value v)
+MvBpTree::insertOp(Key key, Value v, bool pin)
 {
-    Status st = lockForWrite();
+    // A vector-insertion member (pin) runs under its batch's lock.
+    Status st = pin ? Status::Ok : lockForWrite();
     if (!ok(st))
         co_return st;
     // Per-structure gate (key 0): every MV write replaces the root path,
@@ -334,21 +154,16 @@ MvBpTree::insertAsync(Key key, Value v)
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
     const uint64_t root_raw = workingRoot();
 
-    // Phase A: suspendable descent, reads only; the per-node retire()
-    // calls of insertRec move to phase B so a validation restart cannot
-    // retire the same node twice.
-    struct PathEnt
-    {
-        uint64_t raw;
-        Node node;
-        uint32_t idx; //!< route taken (internal nodes)
-    };
+    // Phase A: suspendable descent, reads only; the superseded nodes
+    // are retired in phase B so a validation restart cannot retire the
+    // same node twice.
     std::vector<PathEnt> path;
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
+    path.reserve(kPathReserve);
     if (root_raw != 0) {
         while (true) {
             path.clear();
-            stamps.clear();
+            reads.clear();
             uint64_t cur_raw = root_raw;
             uint32_t depth = 0;
             bool bad = false;
@@ -359,11 +174,11 @@ MvBpTree::insertAsync(Key key, Value v)
                 }
                 Node node;
                 auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw),
-                                        &node, depth, true, false);
+                                        &node, depth, true, pin);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
-                stamps.push_back({cur_raw, aw.served_seq});
+                reads.add(cur_raw, aw);
                 if (node.count > kFanout) {
                     bad = true;
                     break;
@@ -377,7 +192,7 @@ MvBpTree::insertAsync(Key key, Value v)
                 cur_raw = node.children[idx];
                 ++depth;
             }
-            if (s_->pipelineReadSetClean(stamps)) {
+            if (reads.clean()) {
                 if (bad)
                     co_return Status::Corruption;
                 break;
@@ -386,18 +201,23 @@ MvBpTree::insertAsync(Key key, Value v)
         }
     }
 
-    // Phase B: insertOne's write-out, inline and unsuspended.
+    // Phase B: the path-copy write-out, inline and unsuspended. Every
+    // path node is superseded by this version.
     s_->restoreOpRef(backend_, opref);
-    bool added = false;
-    uint64_t new_root_raw = 0;
-    if (root_raw == 0) {
-        RemotePtr cell;
-        st = s_->alloc(backend_, Value::kSize, &cell);
-        if (!ok(st))
-            co_return st;
-        st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
-        if (!ok(st))
-            co_return st;
+    for (const PathEnt &ent : path)
+        s_->retire(id_, RemotePtr::fromRaw(ent.raw), sizeof(Node));
+    // Immutable cells: an update allocates a fresh cell as well.
+    RemotePtr cell;
+    st = s_->alloc(backend_, Value::kSize, &cell);
+    if (!ok(st))
+        co_return st;
+    st = s_->logWriteFromOp(id_, cell, v.bytes.data(), Value::kSize);
+    if (!ok(st))
+        co_return st;
+    bool added = true;
+    uint64_t new_child = 0;
+    Split split;
+    if (path.empty()) {
         Node leaf{};
         leaf.is_leaf = 1;
         leaf.count = 1;
@@ -407,176 +227,62 @@ MvBpTree::insertAsync(Key key, Value v)
         st = allocNode(leaf, &p);
         if (!ok(st))
             co_return st;
-        new_root_raw = p.raw();
-        added = true;
+        new_child = p.raw();
     } else {
-        // Every path node is superseded by this version (insertRec
-        // retires each right after reading it).
-        for (const PathEnt &ent : path)
-            s_->retire(id_, RemotePtr::fromRaw(ent.raw), sizeof(Node));
-
-        // Leaf step.
+        // Leaf step: repoint an existing key's copy at the new cell, or
+        // insert the key (splitting a full leaf).
         Node &leaf = path.back().node;
-        uint64_t new_child = 0;
-        Split split;
-        bool updated = false;
-        for (uint32_t i = 0; i < leaf.count; ++i) {
-            if (leaf.keys[i] != key)
-                continue;
-            RemotePtr cell;
-            st = s_->alloc(backend_, Value::kSize, &cell);
-            if (!ok(st))
-                co_return st;
-            st = s_->logWriteFromOp(id_, cell, v.bytes.data(),
-                                    Value::kSize);
-            if (!ok(st))
-                co_return st;
-            s_->retire(id_, RemotePtr::fromRaw(leaf.children[i]),
+        uint32_t match = 0;
+        while (match < leaf.count && leaf.keys[match] != key)
+            ++match;
+        if (match < leaf.count) {
+            added = false;
+            s_->retire(id_, RemotePtr::fromRaw(leaf.children[match]),
                        Value::kSize);
-            leaf.children[i] = cell.raw();
+            leaf.children[match] = cell.raw();
             RemotePtr p;
             st = allocNode(leaf, &p);
             if (!ok(st))
                 co_return st;
             new_child = p.raw();
-            updated = true;
-            break;
-        }
-        if (!updated) {
-            RemotePtr cell;
-            st = s_->alloc(backend_, Value::kSize, &cell);
+        } else {
+            st = copyInsert(leaf, key, cell.raw(), &new_child, &split);
             if (!ok(st))
                 co_return st;
-            st = s_->logWriteFromOp(id_, cell, v.bytes.data(),
-                                    Value::kSize);
-            if (!ok(st))
-                co_return st;
-            added = true;
-            if (leaf.count == kFanout) {
-                Node right{};
-                right.is_leaf = 1;
-                right.count = kFanout / 2;
-                for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                    right.keys[i] = leaf.keys[kFanout / 2 + i];
-                    right.children[i] = leaf.children[kFanout / 2 + i];
-                }
-                leaf.count = kFanout / 2;
-                Node *target = key >= right.keys[0] ? &right : &leaf;
-                uint32_t pos = 0;
-                while (pos < target->count && target->keys[pos] < key)
-                    ++pos;
-                for (uint32_t i = target->count; i > pos; --i) {
-                    target->keys[i] = target->keys[i - 1];
-                    target->children[i] = target->children[i - 1];
-                }
-                target->keys[pos] = key;
-                target->children[pos] = cell.raw();
-                ++target->count;
-
-                RemotePtr left_ptr, right_ptr;
-                st = allocNode(leaf, &left_ptr);
-                if (!ok(st))
-                    co_return st;
-                st = allocNode(right, &right_ptr);
-                if (!ok(st))
-                    co_return st;
-                new_child = left_ptr.raw();
-                split.happened = true;
-                split.sep_key = right.keys[0];
-                split.right_raw = right_ptr.raw();
-            } else {
-                uint32_t pos = 0;
-                while (pos < leaf.count && leaf.keys[pos] < key)
-                    ++pos;
-                for (uint32_t i = leaf.count; i > pos; --i) {
-                    leaf.keys[i] = leaf.keys[i - 1];
-                    leaf.children[i] = leaf.children[i - 1];
-                }
-                leaf.keys[pos] = key;
-                leaf.children[pos] = cell.raw();
-                ++leaf.count;
-                RemotePtr p;
-                st = allocNode(leaf, &p);
-                if (!ok(st))
-                    co_return st;
-                new_child = p.raw();
-            }
         }
-
-        // Unwind: each ancestor re-points at its copied child and
-        // absorbs a pending split, exactly as insertRec's return path.
+        // Unwind: each ancestor copy re-points at its copied child and
+        // absorbs a pending split (or splits and keeps propagating it).
         for (size_t lvl = path.size() - 1; lvl-- > 0;) {
             Node &node = path[lvl].node;
             node.children[path[lvl].idx] = new_child;
             if (split.happened) {
-                if (node.count == kFanout) {
-                    Node right{};
-                    right.is_leaf = 0;
-                    right.count = kFanout / 2;
-                    for (uint32_t i = 0; i < kFanout / 2; ++i) {
-                        right.keys[i] = node.keys[kFanout / 2 + i];
-                        right.children[i] = node.children[kFanout / 2 + i];
-                    }
-                    node.count = kFanout / 2;
-                    Node *target =
-                        split.sep_key >= right.keys[0] ? &right : &node;
-                    uint32_t pos = 0;
-                    while (pos < target->count &&
-                           target->keys[pos] < split.sep_key)
-                        ++pos;
-                    for (uint32_t i = target->count; i > pos; --i) {
-                        target->keys[i] = target->keys[i - 1];
-                        target->children[i] = target->children[i - 1];
-                    }
-                    target->keys[pos] = split.sep_key;
-                    target->children[pos] = split.right_raw;
-                    ++target->count;
-
-                    RemotePtr left_ptr, right_ptr;
-                    st = allocNode(node, &left_ptr);
-                    if (!ok(st))
-                        co_return st;
-                    st = allocNode(right, &right_ptr);
-                    if (!ok(st))
-                        co_return st;
-                    new_child = left_ptr.raw();
-                    split.sep_key = right.keys[0];
-                    split.right_raw = right_ptr.raw();
-                    continue; // split keeps propagating
-                }
-                uint32_t pos = 0;
-                while (pos < node.count && node.keys[pos] < split.sep_key)
-                    ++pos;
-                for (uint32_t i = node.count; i > pos; --i) {
-                    node.keys[i] = node.keys[i - 1];
-                    node.children[i] = node.children[i - 1];
-                }
-                node.keys[pos] = split.sep_key;
-                node.children[pos] = split.right_raw;
-                ++node.count;
-                split.happened = false;
+                st = copyInsert(node, split.sep_key, split.right_raw,
+                                &new_child, &split);
+            } else {
+                RemotePtr p;
+                st = allocNode(node, &p);
+                new_child = p.raw();
             }
-            RemotePtr p;
-            st = allocNode(node, &p);
             if (!ok(st))
                 co_return st;
-            new_child = p.raw();
         }
-        new_root_raw = new_child;
-        if (split.happened) {
-            Node new_root{};
-            new_root.is_leaf = 0;
-            new_root.count = 2;
-            new_root.keys[0] = 0;
-            new_root.children[0] = new_root_raw;
-            new_root.keys[1] = split.sep_key;
-            new_root.children[1] = split.right_raw;
-            RemotePtr p;
-            st = allocNode(new_root, &p);
-            if (!ok(st))
-                co_return st;
-            new_root_raw = p.raw();
-        }
+    }
+    uint64_t new_root_raw = new_child;
+    if (split.happened) {
+        // The split propagated past the root: grow the tree. Entry 0's
+        // key is a low sentinel (never compared at index 0).
+        Node new_root{};
+        new_root.is_leaf = 0;
+        new_root.count = 2;
+        new_root.keys[0] = 0;
+        new_root.children[0] = new_root_raw;
+        new_root.keys[1] = split.sep_key;
+        new_root.children[1] = split.right_raw;
+        RemotePtr p;
+        st = allocNode(new_root, &p);
+        if (!ok(st))
+            co_return st;
+        new_root_raw = p.raw();
     }
     stageRoot(new_root_raw);
     if (added) {
@@ -592,20 +298,9 @@ Status
 MvBpTree::insertMany(std::span<const std::pair<Key, Value>> kvs,
                      Status *results)
 {
-    if (kvs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < kvs.size(); ++i)
-            results[i] = insert(kvs[i].first, kvs[i].second);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(kvs.size());
-    for (const auto &[key, value] : kvs)
-        ops.push_back(insertAsync(key, value));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, kvs.size()));
-    return Status::Ok;
+    return runMany(kvs.size(), results, ManyKind::Write, [&](size_t i) {
+        return insertAsync(kvs[i].first, kvs[i].second);
+    });
 }
 
 Status
@@ -618,7 +313,7 @@ MvBpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
+        st = drive(insertOp(key, value, /*pin=*/true));
         if (!ok(st))
             return st;
     }
@@ -628,85 +323,14 @@ MvBpTree::insertBatch(std::span<const std::pair<Key, Value>> kvs)
 Status
 MvBpTree::find(Key key, Value *out)
 {
-    uint64_t cur_raw = 0;
-    Status st = readerRoot(&cur_raw);
-    if (!ok(st))
-        return st;
-    if (cur_raw == 0)
-        return Status::NotFound;
-    uint32_t depth = 0;
-    PrefetchCandidate neigh[8];
-    size_t nn = 0;
-    while (true) {
-        if (depth > kMaxHeight)
-            return Status::Corruption;
-        Node node;
-        st = readNode(RemotePtr::fromRaw(cur_raw), &node, depth, true,
-                      false, std::span<const PrefetchCandidate>(neigh, nn));
-        if (!ok(st))
-            return st;
-        if (node.count > kFanout)
-            return Status::Corruption;
-        if (node.is_leaf) {
-            for (uint32_t i = 0; i < node.count; ++i) {
-                if (node.keys[i] == key) {
-                    // Adjacent value cells ride this read's doorbell.
-                    PrefetchCandidate cells[4];
-                    size_t nc = 0;
-                    for (uint32_t dist = 1;
-                         dist < node.count && nc < std::size(cells);
-                         ++dist) {
-                        if (i + dist < node.count)
-                            cells[nc++] = PrefetchCandidate{
-                                node.children[i + dist],
-                                static_cast<uint32_t>(Value::kSize)};
-                        if (dist <= i && nc < std::size(cells))
-                            cells[nc++] = PrefetchCandidate{
-                                node.children[i - dist],
-                                static_cast<uint32_t>(Value::kSize)};
-                    }
-                    ReadHint hint;
-                    hint.ds = id_;
-                    hint.cacheable = true;
-                    hint.level = depth + 1;
-                    hint.admission = &admission_;
-                    hint.neighbors =
-                        std::span<const PrefetchCandidate>(cells, nc);
-                    return s_->read(RemotePtr::fromRaw(node.children[i]),
-                                    out, Value::kSize, hint);
-                }
-            }
-            return Status::NotFound;
-        }
-        if (node.count == 0)
-            return Status::Corruption;
-        // This is the read-only path (writers go through eraseRec /
-        // insertRecurse), so the next child read may gather the nearest
-        // siblings around the taken route.
-        const uint32_t r = routeIndex(node, key);
-        cur_raw = node.children[r];
-        nn = 0;
-        for (uint32_t dist = 1; dist < node.count && nn < std::size(neigh);
-             ++dist) {
-            if (r + dist < node.count)
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r + dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-            if (dist <= r && nn < std::size(neigh))
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r - dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-        }
-        ++depth;
-    }
+    return drive(findAsync(key, out));
 }
 
 OpTask
 MvBpTree::findAsync(Key key, Value *out)
 {
-    // Mirror of find() with every node read co_awaited. The multi-version
-    // snapshot guarantee carries over unchanged: this op's descent uses
-    // the root it fetched here, whatever the other in-flight ops do.
+    // The multi-version snapshot guarantee holds per op: this descent
+    // uses the root it fetched here, whatever other in-flight ops do.
     //
     // Read-your-writes: MV writers gate the whole structure (key 0);
     // wait out any writer admitted earlier in this window so the root
@@ -739,38 +363,19 @@ MvBpTree::findAsync(Key key, Value *out)
             break;
         if (node.count == 0)
             co_return Status::Corruption;
+        // A read-only descent: the next child read may gather the
+        // nearest siblings around the taken route.
         const uint32_t r = routeIndex(node, key);
         cur_raw = node.children[r];
-        nn = 0;
-        for (uint32_t dist = 1;
-             dist < node.count && nn < std::size(neigh); ++dist) {
-            if (r + dist < node.count)
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r + dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-            if (dist <= r && nn < std::size(neigh))
-                neigh[nn++] = PrefetchCandidate{
-                    node.children[r - dist],
-                    static_cast<uint32_t>(sizeof(Node))};
-        }
+        nn = nearestChildren(node, r, sizeof(Node), neigh);
         ++depth;
     }
     for (uint32_t i = 0; i < node.count; ++i) {
         if (node.keys[i] != key)
             continue;
+        // Adjacent value cells ride the demanded cell's doorbell.
         PrefetchCandidate cells[4];
-        size_t nc = 0;
-        for (uint32_t dist = 1;
-             dist < node.count && nc < std::size(cells); ++dist) {
-            if (i + dist < node.count)
-                cells[nc++] = PrefetchCandidate{
-                    node.children[i + dist],
-                    static_cast<uint32_t>(Value::kSize)};
-            if (dist <= i && nc < std::size(cells))
-                cells[nc++] = PrefetchCandidate{
-                    node.children[i - dist],
-                    static_cast<uint32_t>(Value::kSize)};
-        }
+        const size_t nc = nearestChildren(node, i, Value::kSize, cells);
         ReadHint hint;
         hint.ds = id_;
         hint.cacheable = true;
@@ -786,17 +391,9 @@ MvBpTree::findAsync(Key key, Value *out)
 Status
 MvBpTree::findMany(std::span<const Key> keys, Value *vals, Status *results)
 {
-    // MV readers are lock-free (snapshot per op): no seqlock fallback is
-    // needed, any handle may pipeline.
-    if (keys.empty())
-        return Status::Ok;
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(findAsync(keys[i], &vals[i]));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    // MV readers are lock-free (snapshot per op): any handle pipelines.
+    return runMany(keys.size(), results, ManyKind::SnapshotRead,
+                   [&](size_t i) { return findAsync(keys[i], &vals[i]); });
 }
 
 bool
@@ -807,90 +404,9 @@ MvBpTree::contains(Key key)
 }
 
 Status
-MvBpTree::eraseRec(uint64_t node_raw, uint32_t depth, Key key,
-                   uint64_t *new_raw, bool *removed)
-{
-    if (depth > kMaxHeight)
-        return Status::Corruption;
-    Node node;
-    Status st = readNode(RemotePtr::fromRaw(node_raw), &node, depth);
-    if (!ok(st))
-        return st;
-    if (node.is_leaf) {
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (node.keys[i] != key)
-                continue;
-            s_->retire(id_, RemotePtr::fromRaw(node.children[i]),
-                       Value::kSize);
-            for (uint32_t j = i + 1; j < node.count; ++j) {
-                node.keys[j - 1] = node.keys[j];
-                node.children[j - 1] = node.children[j];
-            }
-            --node.count;
-            *removed = true;
-            break;
-        }
-        if (!*removed) {
-            *new_raw = node_raw; // untouched version
-            return Status::Ok;
-        }
-        s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-        RemotePtr p;
-        st = allocNode(node, &p);
-        if (!ok(st))
-            return st;
-        *new_raw = p.raw();
-        return Status::Ok;
-    }
-    const uint32_t idx = routeIndex(node, key);
-    uint64_t new_child_raw = 0;
-    st = eraseRec(node.children[idx], depth + 1, key, &new_child_raw,
-                  removed);
-    if (!ok(st))
-        return st;
-    if (!*removed) {
-        *new_raw = node_raw;
-        return Status::Ok;
-    }
-    s_->retire(id_, RemotePtr::fromRaw(node_raw), sizeof(Node));
-    node.children[idx] = new_child_raw;
-    RemotePtr p;
-    st = allocNode(node, &p);
-    if (!ok(st))
-        return st;
-    *new_raw = p.raw();
-    return Status::Ok;
-}
-
-Status
 MvBpTree::erase(Key key)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-    const uint64_t root_raw = workingRoot();
-    if (root_raw == 0) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    bool removed = false;
-    uint64_t new_root_raw = 0;
-    st = eraseRec(root_raw, 0, key, &new_root_raw, &removed);
-    if (!ok(st))
-        return st;
-    if (!removed) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    stageRoot(new_root_raw);
-    --count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return drive(eraseAsync(key));
 }
 
 OpTask
@@ -899,7 +415,7 @@ MvBpTree::eraseAsync(Key key)
     Status st = lockForWrite();
     if (!ok(st))
         co_return st;
-    // Per-structure write ordering; see insertAsync.
+    // Per-structure write ordering; see insertOp.
     FrontendSession::WindowGate gate(s_, id_, 0);
     while (!gate.tryAcquire())
         co_await s_->pipelineYield();
@@ -913,19 +429,14 @@ MvBpTree::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase A: eraseRec's descent (reads only; its retires are deferred
-    // to phase B), stamped for validation.
-    struct PathEnt
-    {
-        uint64_t raw;
-        Node node;
-        uint32_t idx;
-    };
+    // Phase A: the descent (reads only; retires are deferred to phase
+    // B), stamped for validation.
     std::vector<PathEnt> path;
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
+    path.reserve(kPathReserve);
     while (true) {
         path.clear();
-        stamps.clear();
+        reads.clear();
         uint64_t cur_raw = root_raw;
         uint32_t depth = 0;
         bool bad = false;
@@ -940,7 +451,7 @@ MvBpTree::eraseAsync(Key key)
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({cur_raw, aw.served_seq});
+            reads.add(cur_raw, aw);
             if (node.is_leaf) {
                 path.push_back({cur_raw, node, 0});
                 break;
@@ -950,7 +461,7 @@ MvBpTree::eraseAsync(Key key)
             cur_raw = node.children[idx];
             ++depth;
         }
-        if (s_->pipelineReadSetClean(stamps)) {
+        if (reads.clean()) {
             if (bad)
                 co_return Status::Corruption;
             break;
@@ -971,7 +482,8 @@ MvBpTree::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase B: eraseRec's path-copy tail, inline.
+    // Phase B: the path-copy tail, inline — the leaf loses the key, and
+    // every node on the path is superseded bottom-up by a fresh copy.
     s_->restoreOpRef(backend_, opref);
     s_->retire(id_, RemotePtr::fromRaw(leaf.children[match]),
                Value::kSize);
@@ -1007,20 +519,8 @@ MvBpTree::eraseAsync(Key key)
 Status
 MvBpTree::eraseMany(std::span<const Key> keys, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = erase(keys[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (const Key key : keys)
-        ops.push_back(eraseAsync(key));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(keys.size(), results, ManyKind::Write,
+                   [&](size_t i) { return eraseAsync(keys[i]); });
 }
 
 } // namespace asymnvm

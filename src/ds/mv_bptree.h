@@ -33,45 +33,50 @@ class MvBpTree : public MvBase
                        std::string_view name, MvBpTree *out,
                        const DsOptions &opt = {});
 
+    /** Insert or update; a depth-1 run of insertAsync. */
     Status insert(Key key, const Value &v);
 
     /**
-     * Insert/update as a resumable pipeline op. Phase A descends with
-     * suspendable reads; phase B replays insertRec's path-copy write-out
-     * (retires, cell + node allocs, splits, root staging) inline after
-     * read-set validation. Every MV write supersedes the whole root
-     * path, so window writes to the same tree are ordered by one
-     * per-structure WindowGate rather than per-key gates — sibling
-     * *reads* and ops on other structures still overlap freely.
+     * Insert/update as a resumable op. Phase A descends with suspendable
+     * reads; phase B runs the path-copy write-out (retires, cell + node
+     * allocs, splits, root staging) inline after read-set validation.
+     * Every MV write supersedes the whole root path, so window writes
+     * to the same tree are ordered by one per-structure WindowGate
+     * rather than per-key gates — sibling *reads* and ops on other
+     * structures still overlap freely.
      */
-    OpTask insertAsync(Key key, Value v);
+    OpTask insertAsync(Key key, Value v) { return insertOp(key, v, false); }
 
     /** Pipelined multi-insert; results[i] receives kvs[i]'s status. */
     Status insertMany(std::span<const std::pair<Key, Value>> kvs,
                       Status *results);
 
+    /** Vector insertion (sorted batch with path pinning). */
     Status insertBatch(std::span<const std::pair<Key, Value>> kvs);
+
+    /** Lock-free snapshot lookup; a depth-1 run of findAsync. */
     Status find(Key key, Value *out);
 
     /**
-     * Point lookup as a resumable pipeline op: the descent co_awaits
-     * every remote node read so executePipelined can overlap several
-     * lookups per round trip. The root fetch stays synchronous (for pure
-     * readers it is an atomic meta verb, not a gatherable read); the
-     * snapshot property is unchanged — each op traverses the root it
-     * fetched. Mirrors find() step for step.
+     * Point lookup as a resumable op: the descent co_awaits every
+     * remote node read so executePipelined can overlap several lookups
+     * per round trip. The root fetch stays synchronous (for pure
+     * readers it is an atomic meta verb, not a gatherable read); each
+     * op traverses the snapshot root it fetched.
      */
     OpTask findAsync(Key key, Value *out);
 
     /** Pipelined multi-lookup; results[i] receives keys[i]'s status. */
     Status findMany(std::span<const Key> keys, Value *vals,
                     Status *results);
+
+    /** Remove; NotFound when absent. A depth-1 run of eraseAsync. */
     Status erase(Key key);
 
     /**
-     * Remove as a resumable pipeline op: suspendable descent, then
-     * eraseRec's path-copy tail inline after validation. Same
-     * per-structure write ordering as insertAsync.
+     * Remove as a resumable op: suspendable descent, then the path-copy
+     * tail inline after validation. Same per-structure write ordering
+     * as insertAsync.
      */
     OpTask eraseAsync(Key key);
 
@@ -98,6 +103,7 @@ class MvBpTree : public MvBase
     };
     static_assert(sizeof(Node) == 16 + 16 * kFanout);
 
+    /** A split to propagate upward: separator and new right half. */
     struct Split
     {
         bool happened = false;
@@ -105,13 +111,31 @@ class MvBpTree : public MvBase
         uint64_t right_raw = 0;
     };
 
+    /** One node of a write descent and the route taken out of it. */
+    struct PathEnt
+    {
+        uint64_t raw;
+        Node node;
+        uint32_t idx; //!< child index taken (internal nodes)
+    };
+
     void install();
-    Status insertOne(Key key, const Value &v, bool pin);
-    Status insertRec(uint64_t node_raw, uint32_t depth, Key key,
-                     const Value &v, bool pin, uint64_t *new_raw,
-                     Split *split, bool *added);
-    Status eraseRec(uint64_t node_raw, uint32_t depth, Key key,
-                    uint64_t *new_raw, bool *removed);
+
+    /**
+     * The insert coroutine. @p pin marks a member of a vector insertion:
+     * its descent pins the path for the batch's later keys, and it runs
+     * under the batch's single lock acquisition.
+     */
+    OpTask insertOp(Key key, Value v, bool pin);
+
+    /**
+     * Insert (@p key, @p child) into @p node (a private copy) and
+     * allocate the new version at *new_raw. A full node splits: *new_raw
+     * is then the left half and @p split carries the right one.
+     */
+    Status copyInsert(Node &node, Key key, uint64_t child, uint64_t *new_raw,
+                      Split *split);
+
     static uint32_t routeIndex(const Node &n, Key key);
 
     uint64_t count_ = 0; //!< aux1

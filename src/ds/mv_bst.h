@@ -20,7 +20,11 @@
 
 namespace asymnvm {
 
-/** A persistent multi-version (lock-free for readers) BST. */
+/**
+ * A persistent multi-version (lock-free for readers) BST. Its ops are
+ * serial on purpose: like Bst it has no coroutine bodies, so it never
+ * joins a reactor window.
+ */
 class MvBst : public MvBase
 {
   public:

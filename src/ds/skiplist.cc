@@ -1,7 +1,6 @@
 #include "ds/skiplist.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace asymnvm {
 
@@ -100,73 +99,63 @@ SkipList::randomLevel()
 }
 
 Status
-SkipList::findPosition(Key key, uint64_t preds[kMaxLevel],
-                       uint64_t succs[kMaxLevel], bool *found, bool pin,
-                       bool prefetch)
+SkipList::findPosition(Key key, uint64_t *succ0)
 {
-    *found = false;
-    uint64_t cur_raw = head_raw_;
     Node cur;
     // The sentinel is the hottest node of all.
-    Status st = readNode(RemotePtr::fromRaw(cur_raw), &cur, 0, true, pin);
+    Status st = readNode(RemotePtr::fromRaw(head_raw_), &cur, 0);
     if (!ok(st))
         return st;
     uint32_t hops = 0;
+    PrefetchCandidate neigh[6];
     for (int lvl = kMaxLevel - 1; lvl >= 0; --lvl) {
         while (cur.next[lvl] != 0) {
             if (++hops > kMaxHops)
                 return Status::Conflict; // torn view; retry
             Node next;
-            // The current node's lower-level successors are the nodes
-            // this walk reads next if the horizontal step overshoots and
-            // the search descends — gather a few with this read.
-            PrefetchCandidate neigh[6];
-            size_t nn = 0;
-            if (prefetch) {
-                for (int l = lvl - 1; l >= 0 && nn < std::size(neigh);
-                     --l) {
-                    const uint64_t nxt = cur.next[l];
-                    if (nxt == 0 || nxt == cur.next[lvl])
-                        continue;
-                    bool dup = false;
-                    for (size_t j = 0; j < nn; ++j)
-                        if (neigh[j].addr_raw == nxt)
-                            dup = true;
-                    if (!dup)
-                        neigh[nn++] = PrefetchCandidate{
-                            nxt, static_cast<uint32_t>(sizeof(Node))};
-                }
-            }
-            // Tower height correlates with traversal level: high levels
-            // are hot, low levels cold (Section 8.4 caching rule).
+            const size_t nn = lowerSuccessors(cur, lvl, neigh);
             st = readNode(RemotePtr::fromRaw(cur.next[lvl]), &next,
-                          kMaxLevel - 1 - lvl, true, pin,
+                          kMaxLevel - 1 - lvl, true, false,
                           std::span<const PrefetchCandidate>(neigh, nn));
             if (!ok(st))
                 return st;
             if (next.key >= key || next.level == 0 ||
-                next.level > kMaxLevel) {
-                if (next.key == key && next.level >= 1 &&
-                    next.level <= kMaxLevel)
-                    *found = true;
+                next.level > kMaxLevel)
                 break;
-            }
-            cur_raw = cur.next[lvl];
             cur = next;
         }
-        preds[lvl] = cur_raw;
-        succs[lvl] = cur.next[lvl];
     }
+    *succ0 = cur.next[0];
     return Status::Ok;
+}
+
+size_t
+SkipList::lowerSuccessors(const Node &cur, int lvl,
+                          PrefetchCandidate (&neigh)[6])
+{
+    // The current node's lower-level successors are the nodes a walk
+    // reads next if the horizontal step overshoots and the search
+    // descends — gather a few with this read.
+    size_t nn = 0;
+    for (int l = lvl - 1; l >= 0 && nn < std::size(neigh); --l) {
+        const uint64_t nxt = cur.next[l];
+        if (nxt == 0 || nxt == cur.next[lvl])
+            continue;
+        bool dup = false;
+        for (size_t j = 0; j < nn; ++j)
+            if (neigh[j].addr_raw == nxt)
+                dup = true;
+        if (!dup)
+            neigh[nn++] =
+                PrefetchCandidate{nxt, static_cast<uint32_t>(sizeof(Node))};
+    }
+    return nn;
 }
 
 Status
 SkipList::insert(Key key, const Value &v)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    return insertOne(key, v, /*pin=*/false);
+    return drive(insertAsync(key, v));
 }
 
 Status
@@ -179,83 +168,18 @@ SkipList::insertBatch(std::span<const std::pair<Key, Value>> kvs)
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[key, value] : sorted) {
-        st = insertOne(key, value, /*pin=*/true);
+        st = drive(insertOp(key, value, /*pin=*/true));
         if (!ok(st))
             return st;
     }
     return Status::Ok;
 }
 
-Status
-SkipList::insertOne(Key key, const Value &v, bool pin)
-{
-    Status st = s_->opBegin(id_, backend_, OpType::Insert, key,
-                            v.bytes.data(), Value::kSize);
-    if (!ok(st))
-        return st;
-
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    st = findPosition(key, preds, succs, &found, pin);
-    if (!ok(st))
-        return st;
-    if (found) {
-        // Update in place.
-        const RemotePtr target = RemotePtr::fromRaw(succs[0]);
-        Node node;
-        st = readNode(target, &node, kMaxLevel - 1);
-        if (!ok(st))
-            return st;
-        node.value = v;
-        st = writeNode(target, node);
-        if (!ok(st))
-            return st;
-        return s_->opEnd();
-    }
-
-    // Figure 2 line 14-19: allocate, log the op, set successors in the
-    // new node, then link predecessors bottom-up.
-    const uint32_t level = randomLevel();
-    Node fresh{};
-    fresh.key = key;
-    fresh.level = level;
-    fresh.value = v;
-    for (uint32_t l = 0; l < level; ++l)
-        fresh.next[l] = succs[l];
-    RemotePtr p;
-    st = allocNode(fresh, &p);
-    if (!ok(st))
-        return st;
-
-    // Distinct predecessors may repeat across levels; keep one evolving
-    // copy per node so whole-node rewrites stay consistent.
-    std::unordered_map<uint64_t, Node> pred_copies;
-    for (uint32_t l = 0; l < level; ++l) {
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l, true, pin);
-            if (!ok(st))
-                return st;
-            it = pred_copies.emplace(preds[l], copy).first;
-        }
-        it->second.next[l] = p.raw();
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
-        if (!ok(st))
-            return st;
-    }
-    ++count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
-}
-
 OpTask
-SkipList::insertAsync(Key key, Value v)
+SkipList::insertOp(Key key, Value v, bool pin)
 {
-    Status st = lockForWrite();
+    // A vector-insertion member (pin) runs under its batch's lock.
+    Status st = pin ? Status::Ok : lockForWrite();
     if (!ok(st))
         co_return st;
     // Same-key ordering: a later op on this key parks until the earlier
@@ -271,25 +195,26 @@ SkipList::insertAsync(Key key, Value v)
     // own op-log record so phase B's memory logs reference it.
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: the findPosition walk (write-path flavor: no prefetch,
-    // no pin), every read stamped for validation against sibling window
-    // writes. A dirty set means a sibling relinked under us — re-walk
-    // against the now-hot local tiers.
+    // Phase A: the predecessor/successor walk of Figure 2 lines 2-13
+    // (write-path flavor: no prefetch), every read stamped for
+    // validation against sibling window writes. A dirty set means a
+    // sibling relinked under us — re-walk against the now-hot local
+    // tiers.
     uint64_t preds[kMaxLevel], succs[kMaxLevel];
     bool found = false;
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
     while (true) {
-        stamps.clear();
+        reads.clear();
         found = false;
         uint64_t cur_raw = head_raw_;
         Node cur;
         {
             auto aw = readNodeAsync(RemotePtr::fromRaw(cur_raw), &cur, 0,
-                                    true, false);
+                                    true, pin);
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({cur_raw, aw.served_seq});
+            reads.add(cur_raw, aw);
         }
         uint32_t hops = 0;
         bool torn = false;
@@ -302,11 +227,11 @@ SkipList::insertAsync(Key key, Value v)
                 Node next;
                 auto aw = readNodeAsync(RemotePtr::fromRaw(cur.next[lvl]),
                                         &next, kMaxLevel - 1 - lvl, true,
-                                        false);
+                                        pin);
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
-                stamps.push_back({cur.next[lvl], aw.served_seq});
+                reads.add(cur.next[lvl], aw);
                 if (next.key >= key || next.level == 0 ||
                     next.level > kMaxLevel) {
                     if (next.key == key && next.level >= 1 &&
@@ -322,7 +247,7 @@ SkipList::insertAsync(Key key, Value v)
             preds[lvl] = cur_raw;
             succs[lvl] = cur.next[lvl];
         }
-        if (s_->pipelineReadSetClean(stamps)) {
+        if (reads.clean()) {
             if (torn)
                 co_return Status::Conflict; // genuine torn view
             break;
@@ -330,11 +255,12 @@ SkipList::insertAsync(Key key, Value v)
         s_->notePipelineRestart();
     }
 
-    // Phase B: insertOne's serial tail, inline and unsuspended (its
-    // reads run synchronously — they are local after the walk), so the
-    // whole write-out is atomic with respect to sibling ops.
+    // Phase B: the write-out, inline and unsuspended (its reads run
+    // synchronously — they are local after the walk), so it is atomic
+    // with respect to sibling ops.
     s_->restoreOpRef(backend_, opref);
     if (found) {
+        // Update in place.
         const RemotePtr target = RemotePtr::fromRaw(succs[0]);
         Node node;
         st = readNode(target, &node, kMaxLevel - 1);
@@ -346,6 +272,8 @@ SkipList::insertAsync(Key key, Value v)
             co_return st;
         co_return s_->opEnd();
     }
+    // Figure 2 line 14-19: allocate, log the op, set successors in the
+    // new node, then link predecessors bottom-up.
     const uint32_t level = randomLevel();
     Node fresh{};
     fresh.key = key;
@@ -357,19 +285,20 @@ SkipList::insertAsync(Key key, Value v)
     st = allocNode(fresh, &p);
     if (!ok(st))
         co_return st;
-    std::unordered_map<uint64_t, Node> pred_copies;
+    // A predecessor can span several (adjacent) levels; keep one
+    // evolving copy so whole-node rewrites stay consistent.
+    uint64_t copy_raw = 0;
+    Node copy;
     for (uint32_t l = 0; l < level; ++l) {
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l, true, false);
+        if (preds[l] != copy_raw) {
+            copy_raw = preds[l];
+            st = readNode(RemotePtr::fromRaw(copy_raw), &copy,
+                          kMaxLevel - 1 - l, true, pin);
             if (!ok(st))
                 co_return st;
-            it = pred_copies.emplace(preds[l], copy).first;
         }
-        it->second.next[l] = p.raw();
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
+        copy.next[l] = p.raw();
+        st = writeNode(RemotePtr::fromRaw(copy_raw), copy);
         if (!ok(st))
             co_return st;
     }
@@ -384,70 +313,37 @@ Status
 SkipList::insertMany(std::span<const std::pair<Key, Value>> kvs,
                      Status *results)
 {
-    if (kvs.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < kvs.size(); ++i)
-            results[i] = insert(kvs[i].first, kvs[i].second);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(kvs.size());
-    for (const auto &[key, value] : kvs)
-        ops.push_back(insertAsync(key, value));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, kvs.size()));
-    return Status::Ok;
-}
-
-Status
-SkipList::findLocked(Key key, Value *out)
-{
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    const Status st = findPosition(key, preds, succs, &found,
-                                   /*pin=*/false, /*prefetch=*/true);
-    if (!ok(st))
-        return st;
-    if (!found)
-        return Status::NotFound;
-    Node node;
-    const Status rst =
-        readNode(RemotePtr::fromRaw(succs[0]), &node, kMaxLevel - 1);
-    if (!ok(rst))
-        return rst;
-    *out = node.value;
-    return Status::Ok;
+    return runMany(kvs.size(), results, ManyKind::Write, [&](size_t i) {
+        return insertAsync(kvs[i].first, kvs[i].second);
+    });
 }
 
 Status
 SkipList::find(Key key, Value *out)
 {
-    return optimisticRead([&] { return findLocked(key, out); });
+    return optimisticRead([&] { return drive(findAsync(key, out)); });
 }
 
 OpTask
 SkipList::findAsync(Key key, Value *out)
 {
-    // Mirror of findLocked: the findPosition walk (prefetch on, pin off)
-    // inlined so every readNode becomes a co_awaited readNodeAsync; a
-    // cache miss suspends the walk and the session reactor gathers it
+    // The tower walk (prefetch on, pin off) with every read co_awaited:
+    // a cache miss suspends the walk and the session reactor gathers it
     // with the other in-flight lookups' misses. The candidate array
     // lives in the coroutine frame, valid across suspension.
-    //
+    if (unprotectedPipelinedRead())
+        co_return Status::InvalidArgument;
     // Read-your-writes: wait out a same-key write admitted earlier in
     // this window (it holds the (ds, key) gate until its local effects
     // land); readers hold nothing and never serialize on each other.
     while (s_->pipelineGateHeld(id_, key))
         co_await s_->pipelineYield();
-    uint64_t cur_raw = head_raw_;
     Node cur;
-    Status st = co_await readNodeAsync(RemotePtr::fromRaw(cur_raw), &cur,
+    Status st = co_await readNodeAsync(RemotePtr::fromRaw(head_raw_), &cur,
                                        0, true, false);
     if (!ok(st))
         co_return st;
     bool found = false;
-    uint64_t succ0 = 0;
     uint32_t hops = 0;
     PrefetchCandidate neigh[6];
     for (int lvl = kMaxLevel - 1; lvl >= 0; --lvl) {
@@ -455,19 +351,7 @@ SkipList::findAsync(Key key, Value *out)
             if (++hops > kMaxHops)
                 co_return Status::Conflict; // torn view; retry
             Node next;
-            size_t nn = 0;
-            for (int l = lvl - 1; l >= 0 && nn < std::size(neigh); --l) {
-                const uint64_t nxt = cur.next[l];
-                if (nxt == 0 || nxt == cur.next[lvl])
-                    continue;
-                bool dup = false;
-                for (size_t j = 0; j < nn; ++j)
-                    if (neigh[j].addr_raw == nxt)
-                        dup = true;
-                if (!dup)
-                    neigh[nn++] = PrefetchCandidate{
-                        nxt, static_cast<uint32_t>(sizeof(Node))};
-            }
+            const size_t nn = lowerSuccessors(cur, lvl, neigh);
             st = co_await readNodeAsync(
                 RemotePtr::fromRaw(cur.next[lvl]), &next,
                 kMaxLevel - 1 - lvl, true, false,
@@ -481,16 +365,13 @@ SkipList::findAsync(Key key, Value *out)
                     found = true;
                 break;
             }
-            cur_raw = cur.next[lvl];
             cur = next;
         }
-        if (lvl == 0)
-            succ0 = cur.next[0];
     }
     if (!found)
         co_return Status::NotFound;
     Node node;
-    st = co_await readNodeAsync(RemotePtr::fromRaw(succ0), &node,
+    st = co_await readNodeAsync(RemotePtr::fromRaw(cur.next[0]), &node,
                                 kMaxLevel - 1);
     if (!ok(st))
         co_return st;
@@ -501,39 +382,27 @@ SkipList::findAsync(Key key, Value *out)
 Status
 SkipList::findMany(std::span<const Key> keys, Value *vals, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = find(keys[i], &vals[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(findAsync(keys[i], &vals[i]));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(keys.size(), results, ManyKind::Read, [&](size_t i) {
+        return findAsync(keys[i], &vals[i]);
+    });
 }
 
 Status
 SkipList::scan(Key from, uint32_t limit,
                std::vector<std::pair<Key, Value>> *out)
 {
+    // Serial on purpose: scan is not a point op, so it has no coroutine
+    // twin for the reactor to overlap.
     return optimisticRead([&]() -> Status {
         out->clear();
-        uint64_t preds[kMaxLevel], succs[kMaxLevel];
-        bool found = false;
-        Status st = findPosition(from, preds, succs, &found,
-                                 /*pin=*/false, /*prefetch=*/true);
+        uint64_t cur_raw = 0;
+        Status st = findPosition(from, &cur_raw);
         if (!ok(st))
             return st;
         // The bottom level is a sorted linked list; walk it forward.
         // Labeling the hops with the run's anchor lets repeated scans of
         // the same range learn and gather the whole bottom-level run.
-        const uint64_t scan_stream = succs[0];
-        uint64_t cur_raw = succs[0];
+        const uint64_t scan_stream = cur_raw;
         uint32_t hops = 0;
         while (cur_raw != 0 && out->size() < limit) {
             if (++hops > kMaxHops)
@@ -563,63 +432,7 @@ SkipList::contains(Key key)
 Status
 SkipList::erase(Key key)
 {
-    Status st = lockForWrite();
-    if (!ok(st))
-        return st;
-    st = s_->opBegin(id_, backend_, OpType::Erase, key, nullptr, 0);
-    if (!ok(st))
-        return st;
-
-    uint64_t preds[kMaxLevel], succs[kMaxLevel];
-    bool found = false;
-    st = findPosition(key, preds, succs, &found);
-    if (!ok(st))
-        return st;
-    if (!found) {
-        st = s_->opEnd();
-        return ok(st) ? Status::NotFound : st;
-    }
-    const RemotePtr target = RemotePtr::fromRaw(succs[0]);
-    Node victim;
-    st = readNode(target, &victim, kMaxLevel - 1);
-    if (!ok(st))
-        return st;
-
-    // Unlink top-down: a crash mid-erase then leaves the victim still a
-    // member of the bottom list (a benign shorter-tower state). The
-    // reverse order would strand upper-level links routing through a
-    // node already gone from level 0, silently swallowing any later
-    // insert whose level-0 predecessor resolves to the dead node.
-    std::unordered_map<uint64_t, Node> pred_copies;
-    for (uint32_t l = victim.level; l-- > 0;) {
-        if (succs[l] != target.raw())
-            continue; // the tower does not reach this level's successor
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
-                          kMaxLevel - 1 - l);
-            if (!ok(st))
-                return st;
-            it = pred_copies.emplace(preds[l], copy).first;
-        }
-        it->second.next[l] = victim.next[l];
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
-        if (!ok(st))
-            return st;
-    }
-    if (opt_.shared)
-        s_->retire(id_, target, sizeof(Node)); // readers may still visit
-    else {
-        st = s_->free(target, sizeof(Node));
-        if (!ok(st))
-            return st;
-    }
-    --count_;
-    st = s_->writeAux(id_, backend_, 1, count_);
-    if (!ok(st))
-        return st;
-    return s_->opEnd();
+    return drive(eraseAsync(key));
 }
 
 OpTask
@@ -636,12 +449,12 @@ SkipList::eraseAsync(Key key)
         co_return st;
     const FrontendSession::OpRef opref = s_->currentOpRef(backend_);
 
-    // Phase A: suspendable findPosition walk, stamped (see insertAsync).
+    // Phase A: suspendable predecessor walk, stamped (see insertOp).
     uint64_t preds[kMaxLevel], succs[kMaxLevel];
     bool found = false;
-    std::vector<FrontendSession::ReadStamp> stamps;
+    ReadSet reads(s_);
     while (true) {
-        stamps.clear();
+        reads.clear();
         found = false;
         uint64_t cur_raw = head_raw_;
         Node cur;
@@ -651,7 +464,7 @@ SkipList::eraseAsync(Key key)
             const Status rst = co_await aw;
             if (!ok(rst))
                 co_return rst;
-            stamps.push_back({cur_raw, aw.served_seq});
+            reads.add(cur_raw, aw);
         }
         uint32_t hops = 0;
         bool torn = false;
@@ -668,7 +481,7 @@ SkipList::eraseAsync(Key key)
                 const Status rst = co_await aw;
                 if (!ok(rst))
                     co_return rst;
-                stamps.push_back({cur.next[lvl], aw.served_seq});
+                reads.add(cur.next[lvl], aw);
                 if (next.key >= key || next.level == 0 ||
                     next.level > kMaxLevel) {
                     if (next.key == key && next.level >= 1 &&
@@ -684,7 +497,7 @@ SkipList::eraseAsync(Key key)
             preds[lvl] = cur_raw;
             succs[lvl] = cur.next[lvl];
         }
-        if (s_->pipelineReadSetClean(stamps)) {
+        if (reads.clean()) {
             if (torn)
                 co_return Status::Conflict;
             break;
@@ -696,34 +509,38 @@ SkipList::eraseAsync(Key key)
         co_return ok(st) ? Status::NotFound : st;
     }
 
-    // Phase B: erase()'s serial tail — victim read, top-down unlink,
-    // free/retire — inline and unsuspended.
+    // Phase B: victim read, top-down unlink, free/retire — inline and
+    // unsuspended.
     s_->restoreOpRef(backend_, opref);
     const RemotePtr target = RemotePtr::fromRaw(succs[0]);
     Node victim;
     st = readNode(target, &victim, kMaxLevel - 1);
     if (!ok(st))
         co_return st;
-    std::unordered_map<uint64_t, Node> pred_copies;
+    // Unlink top-down: a crash mid-erase then leaves the victim still a
+    // member of the bottom list (a benign shorter-tower state). The
+    // reverse order would strand upper-level links routing through a
+    // node already gone from level 0, silently swallowing any later
+    // insert whose level-0 predecessor resolves to the dead node.
+    uint64_t copy_raw = 0;
+    Node copy;
     for (uint32_t l = victim.level; l-- > 0;) {
         if (succs[l] != target.raw())
-            continue;
-        auto it = pred_copies.find(preds[l]);
-        if (it == pred_copies.end()) {
-            Node copy;
-            st = readNode(RemotePtr::fromRaw(preds[l]), &copy,
+            continue; // the tower does not reach this level's successor
+        if (preds[l] != copy_raw) {
+            copy_raw = preds[l];
+            st = readNode(RemotePtr::fromRaw(copy_raw), &copy,
                           kMaxLevel - 1 - l);
             if (!ok(st))
                 co_return st;
-            it = pred_copies.emplace(preds[l], copy).first;
         }
-        it->second.next[l] = victim.next[l];
-        st = writeNode(RemotePtr::fromRaw(preds[l]), it->second);
+        copy.next[l] = victim.next[l];
+        st = writeNode(RemotePtr::fromRaw(copy_raw), copy);
         if (!ok(st))
             co_return st;
     }
     if (opt_.shared)
-        s_->retire(id_, target, sizeof(Node));
+        s_->retire(id_, target, sizeof(Node)); // readers may still visit
     else {
         st = s_->free(target, sizeof(Node));
         if (!ok(st))
@@ -739,20 +556,8 @@ SkipList::eraseAsync(Key key)
 Status
 SkipList::eraseMany(std::span<const Key> keys, Status *results)
 {
-    if (keys.empty())
-        return Status::Ok;
-    if (!pipelineEligible()) {
-        for (size_t i = 0; i < keys.size(); ++i)
-            results[i] = erase(keys[i]);
-        return Status::Ok;
-    }
-    std::vector<OpTask> ops;
-    ops.reserve(keys.size());
-    for (const Key key : keys)
-        ops.push_back(eraseAsync(key));
-    s_->executePipelined(std::span<OpTask>(ops),
-                         std::span<Status>(results, keys.size()));
-    return Status::Ok;
+    return runMany(keys.size(), results, ManyKind::Write,
+                   [&](size_t i) { return eraseAsync(keys[i]); });
 }
 
 } // namespace asymnvm

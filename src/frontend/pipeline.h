@@ -11,50 +11,126 @@
  * its pointer-chase depth — but one *session* can, by keeping several
  * independent operations in flight and overlapping their round trips.
  *
- * The data structure read AND write paths (bptree, mv_bptree, skiplist,
- * hash_table, stack, queue) are decomposed into resumable C++20
- * coroutines returning OpTask. Each remote fetch becomes a suspension
- * point (`co_await session->asyncRead`): when the requested bytes are
- * local (overlay / pin / cache) the awaitable completes inline and the
- * coroutine keeps running; on a remote miss it parks a PendingRead with
- * the session's reactor and suspends. The reactor
- * (FrontendSession::executePipelined) keeps a window of
+ * The point operations of the pipelined structures (bptree, mv_bptree,
+ * skiplist, hash_table, stack, queue) are written once, as resumable
+ * C++20 coroutines returning OpTask; their serial entry points
+ * (`insert`, `find`, `put`, `pop`, ...) are depth-1 drivers that run
+ * the coroutine to completion as a one-op window. Each remote fetch is
+ * a suspension point (`co_await session->asyncRead`): when the
+ * requested bytes are local (overlay / pin / cache) the awaitable
+ * completes inline and the coroutine keeps running; on a remote miss it
+ * parks a PendingRead with the session's reactor and suspends. The
+ * reactor (FrontendSession::executePipelined) keeps a window of
  * `SessionConfig::pipeline_depth` operations admitted, collects every
  * suspended op's demanded read, and serves the whole round as ONE
  * doorbell-batched read chain (Verbs::readGather — one doorbell, one NIC
  * arrival, one RTT plus combined wire bytes). N in-flight depth-d lookups
  * thus cost ~d round trips instead of N*d.
  *
- * Write ops pipeline in two phases. Phase A — the traversal reads the
- * serial op performs before its first write — suspends like a lookup and
- * joins the shared read round; every read is stamped with the
- * session-local write sequence it observed. Phase B — the serial write
- * tail, verbatim — runs inline and unsuspended once the read set
- * validates, so it is atomic with respect to sibling window ops. A
- * same-key/same-structure conflict is prevented up front by a
- * WindowGate (later ops park until the earlier one retires), and a
- * stale read set (a sibling wrote under a suspended descent) triggers a
- * re-descent against the now-local tiers rather than a wire retry. The
- * ops' op-log/memory-log appends ride one doorbell-batched WQE chain
- * per round, and their commit fences coalesce into a single flush at
- * window drain (PipelineStats::{batched_appends, coalesced_fences}).
+ * Write ops run in two phases. Phase A — the traversal reads the op
+ * performs before its first write — suspends like a lookup and joins
+ * the shared read round; inside a window every read is stamped with the
+ * session-local write sequence it observed. Phase B — the write tail —
+ * runs inline and unsuspended once the read set validates, so it is
+ * atomic with respect to sibling window ops. A same-key/same-structure
+ * conflict is prevented up front by a WindowGate (later ops park until
+ * the earlier one retires), and a stale read set (a sibling wrote under
+ * a suspended descent) triggers a re-descent against the now-local
+ * tiers rather than a wire retry. The ops' op-log/memory-log appends
+ * ride one doorbell-batched WQE chain per round, and their commit
+ * fences coalesce into a single flush at window drain
+ * (PipelineStats::{batched_appends, coalesced_fences}).
  *
- * Depth 1 (the default) never suspends: asyncRead falls through to the
- * serial FrontendSession::read and opBegin/opEnd keep their serial
- * fence behavior, keeping wire traffic bit-identical to the
- * non-pipelined session — the ablation baseline.
+ * Depth 1 (the default) and one-op windows never suspend: asyncRead
+ * falls through to the synchronous FrontendSession::read and
+ * opBegin/opEnd fence every op, so wire traffic and virtual time match
+ * a session without a reactor — the ablation baseline, pinned by
+ * recorded constants in depth_one_golden_test.
  *
  * No OS threads are involved: coroutine frames are resumed from the
  * reactor loop on the session thread, in virtual time.
  */
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 
 #include "common/types.h"
 
 namespace asymnvm {
+
+/**
+ * Recycler for coroutine frames. Every data-structure point operation
+ * is a coroutine — a serial call runs a one-op window — so frames are
+ * allocated at operation rate, and descent frames (node copies, hint
+ * candidate arrays) outgrow the general heap's small-size caches. A
+ * thread-local free list per 64-byte size class makes the steady state
+ * a pointer pop; frames above 8 KiB go to the heap directly. Lists
+ * grow to the peak number of live frames per class and are released at
+ * thread exit.
+ */
+class FramePool
+{
+  public:
+    static void *allocate(size_t n)
+    {
+        const size_t c = sizeClass(n);
+        if (c >= kClasses)
+            return ::operator new(n);
+        FreeFrame *&head = lists().head[c];
+        if (FreeFrame *f = head) {
+            head = f->next;
+            return f;
+        }
+        return ::operator new((c + 1) * kGrain);
+    }
+
+    static void deallocate(void *p, size_t n) noexcept
+    {
+        const size_t c = sizeClass(n);
+        if (c >= kClasses) {
+            ::operator delete(p);
+            return;
+        }
+        FreeFrame *&head = lists().head[c];
+        head = new (p) FreeFrame{head};
+    }
+
+  private:
+    static constexpr size_t kGrain = 64;
+    static constexpr size_t kClasses = 128;
+
+    struct FreeFrame
+    {
+        FreeFrame *next;
+    };
+
+    struct Lists
+    {
+        FreeFrame *head[kClasses] = {};
+
+        ~Lists()
+        {
+            for (FreeFrame *f : head) {
+                while (f != nullptr) {
+                    FreeFrame *next = f->next;
+                    ::operator delete(f);
+                    f = next;
+                }
+            }
+        }
+    };
+
+    static size_t sizeClass(size_t n) { return (n - 1) / kGrain; }
+
+    static Lists &lists()
+    {
+        thread_local Lists l;
+        return l;
+    }
+};
 
 /**
  * A resumable session operation. The coroutine body is a data structure
@@ -79,6 +155,12 @@ class OpTask
         std::suspend_always final_suspend() noexcept { return {}; }
         void return_value(Status st) noexcept { result = st; }
         void unhandled_exception() noexcept { result = Status::Corruption; }
+
+        static void *operator new(size_t n) { return FramePool::allocate(n); }
+        static void operator delete(void *p, size_t n) noexcept
+        {
+            FramePool::deallocate(p, n);
+        }
     };
 
     using Handle = std::coroutine_handle<promise_type>;

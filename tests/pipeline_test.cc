@@ -460,6 +460,72 @@ TEST(PipelineTest, SharedHandleFallsBackToSerialProtocol)
     EXPECT_EQ(reader.stats().pipeline.ops, 0u);
 }
 
+TEST(PipelineTest, SharedReaderCoroutinesRefuseUnprotectedWindows)
+{
+    // A caller that puts seqlock-protected lookups straight into a
+    // depth > 1 window (bypassing findMany's fallback) must not get Ok
+    // for reads taken without readerLock/readerValidate.
+    auto be = std::make_unique<BackendNode>(1, testConfig());
+    FrontendSession writer(SessionConfig::rc(23, 256 << 10));
+    SessionConfig rcfg = SessionConfig::rc(24, 256 << 10);
+    rcfg.pipeline_depth = 8;
+    FrontendSession reader(rcfg);
+    ASSERT_EQ(writer.connect(be.get()), Status::Ok);
+    ASSERT_EQ(reader.connect(be.get()), Status::Ok);
+    DsOptions opt;
+    opt.shared = true;
+    BpTree wbt;
+    SkipList wsl;
+    HashTable wht;
+    MvBpTree wmv;
+    ASSERT_EQ(BpTree::create(writer, 1, "bt", &wbt, opt), Status::Ok);
+    ASSERT_EQ(SkipList::create(writer, 1, "sl", &wsl, opt), Status::Ok);
+    ASSERT_EQ(HashTable::create(writer, 1, "ht", 64, &wht, opt), Status::Ok);
+    ASSERT_EQ(MvBpTree::create(writer, 1, "mv", &wmv, opt), Status::Ok);
+    for (uint64_t k = 1; k <= 50; ++k) {
+        ASSERT_EQ(wbt.insert(k, Value::ofU64(k)), Status::Ok);
+        ASSERT_EQ(wsl.insert(k, Value::ofU64(k)), Status::Ok);
+        ASSERT_EQ(wht.put(k, Value::ofU64(k)), Status::Ok);
+        ASSERT_EQ(wmv.insert(k, Value::ofU64(k)), Status::Ok);
+    }
+    ASSERT_EQ(writer.flushAll(), Status::Ok);
+
+    BpTree rbt;
+    SkipList rsl;
+    HashTable rht;
+    MvBpTree rmv;
+    ASSERT_EQ(BpTree::open(reader, 1, "bt", &rbt, opt), Status::Ok);
+    ASSERT_EQ(SkipList::open(reader, 1, "sl", &rsl, opt), Status::Ok);
+    ASSERT_EQ(HashTable::open(reader, 1, "ht", &rht, opt), Status::Ok);
+    ASSERT_EQ(MvBpTree::open(reader, 1, "mv", &rmv, opt), Status::Ok);
+    std::vector<Value> vals(8);
+    std::vector<OpTask> ops;
+    ops.push_back(rbt.findAsync(3, &vals[0]));
+    ops.push_back(rbt.findAsync(40, &vals[1]));
+    ops.push_back(rsl.findAsync(3, &vals[2]));
+    ops.push_back(rsl.findAsync(40, &vals[3]));
+    ops.push_back(rht.getAsync(3, &vals[4]));
+    ops.push_back(rht.getAsync(40, &vals[5]));
+    ops.push_back(rmv.findAsync(3, &vals[6]));
+    ops.push_back(rmv.findAsync(40, &vals[7]));
+    std::vector<Status> sts(ops.size(), Status::Ok);
+    reader.executePipelined(std::span<OpTask>(ops), std::span<Status>(sts));
+    for (size_t i = 0; i < 6; ++i)
+        EXPECT_EQ(sts[i], Status::InvalidArgument) << "op " << i;
+    // Multi-version readers are lock-free snapshots: they may pipeline.
+    EXPECT_EQ(sts[6], Status::Ok);
+    EXPECT_EQ(vals[6].asU64(), 3u);
+    EXPECT_EQ(sts[7], Status::Ok);
+    EXPECT_EQ(vals[7].asU64(), 40u);
+
+    // The protected entry points still serve the same handles.
+    Value v;
+    EXPECT_EQ(rbt.find(40, &v), Status::Ok);
+    EXPECT_EQ(v.asU64(), 40u);
+    EXPECT_EQ(rsl.find(40, &v), Status::Ok);
+    EXPECT_EQ(rht.get(40, &v), Status::Ok);
+}
+
 // ---------------------------------------------------------------------
 // Write pipelining (DESIGN.md §14): depth 1 must run the native write
 // coroutines bit-identically to the serial protocol — same virtual
