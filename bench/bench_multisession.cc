@@ -186,13 +186,13 @@ runSweepPoint(NicMode mode, uint32_t nsessions)
     for (Lane &ln : lanes) {
         max_dt = std::max(max_dt, ln.s->clock().now() - ln.t0);
         out.worst_p99_ns =
-            std::max(out.worst_p99_ns, ln.lat.percentileInterp(99));
+            std::max(out.worst_p99_ns, ln.lat.percentile(99));
         all.merge(ln.lat);
     }
     out.agg_kops = Throughput{total_ops, max_dt}.kops();
-    out.p50_ns = all.percentileInterp(50);
-    out.p99_ns = all.percentileInterp(99);
-    out.p999_ns = all.percentileInterp(99.9);
+    out.p50_ns = all.percentile(50);
+    out.p99_ns = all.percentile(99);
+    out.p999_ns = all.percentile(99.9);
     const uint64_t bursts = be.nic().classBursts(VerbClass::Foreground);
     if (bursts > 0)
         out.merged_pct = 100.0 *
@@ -278,8 +278,8 @@ runFrontierPoint(uint32_t bg_share_pct, uint64_t bg_wqes_per_round)
     (void)s.flushAll();
 
     const uint64_t dt = s.clock().now() - t0;
-    out.fg_p50_ns = lat.percentileInterp(50);
-    out.fg_p99_ns = lat.percentileInterp(99);
+    out.fg_p50_ns = lat.percentile(50);
+    out.fg_p99_ns = lat.percentile(99);
     out.fg_kops = Throughput{kFrontierOps, dt}.kops();
     // Background goodput: 64B per WQE over the background stream's own
     // completion horizon — the run's span plus the pacing stall the

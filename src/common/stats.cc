@@ -19,24 +19,6 @@ Histogram::percentile(double p) const
 {
     if (count_ == 0)
         return 0;
-    const auto target = static_cast<uint64_t>(p / 100.0 * count_);
-    uint64_t seen = 0;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= target) {
-            // Bucket upper bound, clamped to the true maximum.
-            const uint64_t bound = i == 0 ? 0 : (1ULL << i) - 1;
-            return std::min(bound, max_);
-        }
-    }
-    return max_;
-}
-
-uint64_t
-Histogram::percentileInterp(double p) const
-{
-    if (count_ == 0)
-        return 0;
     // Rank of the target sample (1-based, clamped into range).
     const double want = p / 100.0 * static_cast<double>(count_);
     const auto target = std::min(

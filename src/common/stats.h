@@ -58,16 +58,12 @@ class Histogram
         return count_ ? static_cast<double>(sum_) / count_ : 0;
     }
 
-    /** Approximate percentile (0..100) from the log-scale buckets. */
-    uint64_t percentile(double p) const;
-
     /**
-     * Percentile with rank interpolation inside the containing log
-     * bucket — resolves tails (p99.9) a power-of-two bucket bound
-     * cannot. percentile() is kept as-is (its values appear in the
-     * established benchmark tables); sweeps that report p999 use this.
+     * Percentile (0..100) with rank interpolation inside the containing
+     * log bucket: resolves tails (p99.9) a power-of-two bucket bound
+     * cannot. Clamped to the true maximum.
      */
-    uint64_t percentileInterp(double p) const;
+    uint64_t percentile(double p) const;
 
     /** Render a short human-readable summary line. */
     std::string summary() const;

@@ -74,7 +74,7 @@ FrontendSession::FrontendSession(const SessionConfig &cfg,
                                  const LatencyModel &lat)
     : cfg_(cfg), lat_(lat), verbs_(&clock_, &lat_)
 {
-    verbs_.setQpId(cfg_.qp_id != 0 ? cfg_.qp_id : cfg_.session_id);
+    verbs_.setQpId(cfg_.session_id);
     cache_ = std::make_unique<PageCache>(cfg_.cache_policy,
                                          cfg_.cache_bytes, &clock_, &lat_,
                                          cfg_.cache_sample_k,
@@ -211,7 +211,9 @@ FrontendSession::rpcCall(BackendCtx &c, RpcOp op,
 }
 
 // ---------------------------------------------------------------------
-// Read path (gather): overlay -> pin -> cache -> remote
+// Read path: overlay -> pin -> cache -> remote. Serial reads and reactor
+// windows run the same stages (tier lookup, speculation filter, miss
+// fill); only the wire step differs (one read vs. one shared round).
 // ---------------------------------------------------------------------
 
 bool
@@ -251,150 +253,185 @@ FrontendSession::read(RemotePtr addr, void *dst, uint32_t len,
 {
     // Reads are idempotent, so the whole lookup path (overlay, pins,
     // cache, remote) can transparently re-run after a failover heals the
-    // back-end under it.
+    // back-end under it. Each run is a fresh read: it tracks, trains the
+    // prefetcher and takes the admission decision again.
     const uint64_t t0 = clock_.now();
-    last_read_remote_ = false;
-    const Status st = guarded(
-        addr.backend, [&] { return readInner(addr, dst, len, hint); });
-    (last_read_remote_ ? hist_read_remote_ : hist_read_local_)
+    bool remote = false;
+    const Status st = guarded(addr.backend, [&] {
+        ReadAwaitable aw{this, addr, dst, len, hint};
+        if (readLocalTiers(aw))
+            return aw.result;
+        remote = true;
+        const Status rst = remoteReadWithPrefetch(aw);
+        if (ok(rst))
+            fillAfterMiss(aw);
+        return rst;
+    });
+    (remote ? hist_read_remote_ : hist_read_local_)
         .record(clock_.now() - t0);
     return st;
 }
 
-Status
-FrontendSession::readInner(RemotePtr addr, void *dst, uint32_t len,
-                           const ReadHint &hint)
+bool
+FrontendSession::readLocalTiers(ReadAwaitable &aw)
 {
-    if (tracking_)
-        tracked_reads_.push_back(addr);
+    // Only a read's first lookup tracks it, reads symmetric NVM, trains
+    // the prefetcher and takes the admission decision; a parked read
+    // looked up again (a sibling wrote its address) consults the tiers
+    // but decides nothing twice.
+    const bool first = !aw.looked_up;
+    aw.looked_up = true;
+    if (first && tracking_)
+        tracked_reads_.push_back(aw.addr);
 
     // 1. Read-your-writes: buffered memory logs shadow remote state.
-    if (!overlay_.empty() && overlayLookup(addr, dst, len)) {
+    if (!overlay_.empty() && overlayLookup(aw.addr, aw.dst, aw.len)) {
         clock_.advance(lat_.dram_access_ns);
-        return Status::Ok;
+        aw.result = Status::Ok;
+        return true;
     }
     // 2. Batch-local pins (vector operations reread shared path nodes).
-    if (hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(addr.raw());
-        if (it != pinned_.end() && it->second.size() == len) {
-            std::memcpy(dst, it->second.data(), len);
+    if (aw.hint.pin && !pinned_.empty()) {
+        auto it = pinned_.find(aw.addr.raw());
+        if (it != pinned_.end() && it->second.size() == aw.len) {
+            std::memcpy(aw.dst, it->second.data(), aw.len);
             clock_.advance(lat_.dram_access_ns);
-            return Status::Ok;
+            aw.result = Status::Ok;
+            return true;
         }
     }
-    if (cfg_.symmetric)
-        return symmetricRead(addr, dst, len);
-
+    if (first) {
+        if (cfg_.symmetric) {
+            aw.result = symmetricRead(aw.addr, aw.dst, aw.len);
+            return true;
+        }
+        aw.cacheable = cfg_.use_cache && aw.hint.cacheable;
+        if (cfg_.read_prefetch && aw.cacheable && aw.hint.stream != 0)
+            prefetch_.onAccess(aw.hint.ds, aw.hint.stream, aw.addr.raw(),
+                               aw.len);
+        aw.admitted = aw.hint.admission == nullptr ||
+                      aw.hint.admission->admit(aw.hint.level);
+    }
     // 3. Front-end DRAM cache.
-    const bool cacheable = cfg_.use_cache && hint.cacheable;
-    if (cfg_.read_prefetch && cacheable && hint.stream != 0)
-        prefetch_.onAccess(hint.ds, hint.stream, addr.raw(), len);
-    const bool admitted = hint.admission == nullptr ||
-                          hint.admission->admit(hint.level);
-    if (cacheable && cache_->lookup(addr, dst, len)) {
-        if (hint.admission != nullptr && admitted)
-            hint.admission->record(true);
-        return Status::Ok;
+    if (aw.cacheable && cache_->lookup(aw.addr, aw.dst, aw.len)) {
+        if (aw.hint.admission != nullptr && aw.admitted)
+            aw.hint.admission->record(true);
+        aw.result = Status::Ok;
+        return true;
     }
-    // 4. Remote NVM, gathering speculative neighbor reads in the same
-    // doorbell when the hint carries any (read-side doorbell batching).
-    last_read_remote_ = true;
-    const Status st = remoteReadWithPrefetch(addr, dst, len, hint);
-    if (!ok(st))
-        return st;
-    if (cacheable && admitted) {
-        // Only admitted levels feed the miss-ratio window; reads the
-        // threshold excludes by design must not drag N further down.
-        if (hint.admission != nullptr)
-            hint.admission->record(false);
-        cache_->insert(hint.ds, addr, dst, len);
-    }
-    if (hint.pin) {
-        auto &slot = pinned_[addr.raw()];
-        slot.assign(static_cast<uint8_t *>(dst),
-                    static_cast<uint8_t *>(dst) + len);
-    }
-    return Status::Ok;
+    return false;
 }
 
-Status
-FrontendSession::remoteReadWithPrefetch(RemotePtr addr, void *dst,
-                                        uint32_t len, const ReadHint &hint)
+void
+FrontendSession::collectSpeculation(
+    const ReadAwaitable &aw, std::span<ReadAwaitable *const> demanded)
 {
-    const bool eligible = cfg_.read_prefetch && cfg_.use_cache &&
-                          hint.cacheable && cfg_.prefetch_degree > 0 &&
-                          (!hint.neighbors.empty() || hint.stream != 0);
-    if (!eligible)
-        return verbs_.read(addr, dst, len);
-
-    prefetch_scratch_.clear();
-    prefetch_scratch_.insert(prefetch_scratch_.end(),
-                             hint.neighbors.begin(), hint.neighbors.end());
-    prefetch_.collect(hint.ds, hint.stream, addr.raw(),
+    if (!cfg_.read_prefetch || !aw.cacheable ||
+        (aw.hint.neighbors.empty() && aw.hint.stream == 0))
+        return;
+    prefetch_scratch_.assign(aw.hint.neighbors.begin(),
+                             aw.hint.neighbors.end());
+    prefetch_.collect(aw.hint.ds, aw.hint.stream, aw.addr.raw(),
                       &prefetch_scratch_);
 
-    // Keep only candidates worth the wire bytes: dedupe, drop the
-    // demanded address, other back-ends, and anything already resident
-    // (overlay or cache); truncate to the configured degree.
-    size_t kept = 0;
-    for (size_t i = 0;
-         i < prefetch_scratch_.size() && kept < cfg_.prefetch_degree;
-         ++i) {
-        const PrefetchCandidate c = prefetch_scratch_[i];
-        if (c.addr_raw == 0 || c.len == 0 || c.addr_raw == addr.raw())
+    // Keep only candidates worth the wire bytes: drop other back-ends,
+    // the demanded addresses (the demanded reads are the best prefetch),
+    // duplicates, and anything already resident (overlay or cache);
+    // truncate to kPrefetchDegree per demanded read.
+    uint32_t kept = 0;
+    for (const PrefetchCandidate &c : prefetch_scratch_) {
+        if (kept >= kPrefetchDegree)
+            break;
+        if (c.addr_raw == 0 || c.len == 0)
             continue;
         const RemotePtr p = RemotePtr::fromRaw(c.addr_raw);
-        if (p.isNull() || p.backend != addr.backend)
+        if (p.isNull() || p.backend != aw.addr.backend)
             continue;
-        bool dup = false;
-        for (size_t j = 0; j < kept; ++j)
-            if (prefetch_scratch_[j].addr_raw == c.addr_raw) {
-                dup = true;
-                break;
-            }
+        const bool dup =
+            std::any_of(demanded.begin(), demanded.end(),
+                        [&](const ReadAwaitable *d) {
+                            return d->addr.raw() == c.addr_raw;
+                        }) ||
+            std::any_of(spec_reads_.begin(), spec_reads_.end(),
+                        [&](const SpecRead &sp) {
+                            return sp.addr_raw == c.addr_raw;
+                        });
         if (dup || (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
             continue;
         if (cache_->contains(p, c.len))
             continue;
-        prefetch_scratch_[kept++] = c;
+        spec_reads_.push_back({c.addr_raw, c.len, aw.hint.ds});
+        ++kept;
     }
-    if (kept == 0)
-        return verbs_.read(addr, dst, len);
+}
 
-    if (prefetch_bufs_.size() < kept)
-        prefetch_bufs_.resize(kept);
+void
+FrontendSession::admitSpeculation(uint64_t issue_epoch)
+{
+    if (spec_reads_.empty())
+        return;
+    ++prefetch_batches_;
+    prefetch_issued_ += spec_reads_.size();
+    for (size_t i = 0; i < spec_reads_.size(); ++i) {
+        const SpecRead &sp = spec_reads_[i];
+        const RemotePtr p = RemotePtr::fromRaw(sp.addr_raw);
+        cache_->insertSpeculative(sp.ds, p, prefetch_bufs_[i].data(), sp.len,
+                                  issue_epoch);
+        // Speculative bytes are subject to the same seqlock-conflict
+        // invalidation as the demanded read.
+        if (tracking_)
+            tracked_reads_.push_back(p);
+    }
+}
+
+void
+FrontendSession::fillAfterMiss(const ReadAwaitable &aw)
+{
+    if (aw.cacheable && aw.admitted) {
+        // Only admitted levels feed the miss-ratio window; reads the
+        // threshold excludes by design must not drag N further down.
+        if (aw.hint.admission != nullptr)
+            aw.hint.admission->record(false);
+        cache_->insert(aw.hint.ds, aw.addr, aw.dst, aw.len);
+    }
+    if (aw.hint.pin) {
+        auto &slot = pinned_[aw.addr.raw()];
+        slot.assign(static_cast<uint8_t *>(aw.dst),
+                    static_cast<uint8_t *>(aw.dst) + aw.len);
+    }
+}
+
+Status
+FrontendSession::remoteReadWithPrefetch(ReadAwaitable &aw)
+{
+    ReadAwaitable *const demanded = &aw;
+    spec_reads_.clear();
+    collectSpeculation(aw, std::span(&demanded, 1));
+    if (spec_reads_.empty())
+        return verbs_.read(aw.addr, aw.dst, aw.len);
+
+    if (prefetch_bufs_.size() < spec_reads_.size())
+        prefetch_bufs_.resize(spec_reads_.size());
     // Epoch snapshot BEFORE the gather: an invalidateDs that lands while
     // the chain is in flight must outrank the fetched bytes.
     const uint64_t issue_epoch = cache_->epochNow();
-    verbs_.postRead(addr, dst, len);
-    for (size_t i = 0; i < kept; ++i) {
-        prefetch_bufs_[i].resize(prefetch_scratch_[i].len);
-        verbs_.postRead(RemotePtr::fromRaw(prefetch_scratch_[i].addr_raw),
-                        prefetch_bufs_[i].data(),
-                        prefetch_scratch_[i].len);
+    verbs_.postRead(aw.addr, aw.dst, aw.len);
+    for (size_t i = 0; i < spec_reads_.size(); ++i) {
+        prefetch_bufs_[i].resize(spec_reads_[i].len);
+        verbs_.postRead(RemotePtr::fromRaw(spec_reads_[i].addr_raw),
+                        prefetch_bufs_[i].data(), spec_reads_[i].len);
     }
     const Status st = verbs_.readGather();
     if (st == Status::InvalidArgument) {
         // A learned candidate fell outside the target (stale prediction
         // over reclaimed NVM): forget the structure's predictions and
         // serve the demanded read alone.
-        prefetch_.invalidateDs(hint.ds);
-        return verbs_.read(addr, dst, len);
+        prefetch_.invalidateDs(aw.hint.ds);
+        return verbs_.read(aw.addr, aw.dst, aw.len);
     }
     if (!ok(st))
         return st;
-    ++prefetch_batches_;
-    prefetch_issued_ += kept;
-    for (size_t i = 0; i < kept; ++i) {
-        const RemotePtr p =
-            RemotePtr::fromRaw(prefetch_scratch_[i].addr_raw);
-        cache_->insertSpeculative(hint.ds, p, prefetch_bufs_[i].data(),
-                                  prefetch_scratch_[i].len, issue_epoch);
-        // Speculative bytes are subject to the same seqlock-conflict
-        // invalidation as the demanded read.
-        if (tracking_)
-            tracked_reads_.push_back(p);
-    }
+    admitSpeculation(issue_epoch);
     return Status::Ok;
 }
 
@@ -414,12 +451,9 @@ FrontendSession::ReadAwaitable::await_ready()
         served_seq = s->pipe_write_seq_; // 0 outside a window
         return true;
     }
-    const uint64_t t0 = s->clock_.now();
-    if (s->pipelineLocalRead(*this)) {
-        s->hist_read_local_.record(s->clock_.now() - t0);
-        return true;
-    }
-    return false; // remote miss: park with the reactor and suspend
+    served_seq = s->pipe_write_seq_; // service happens now (or at park)
+    // A remote miss parks with the reactor and suspends.
+    return s->windowReadLocal(*this);
 }
 
 void
@@ -432,77 +466,13 @@ FrontendSession::ReadAwaitable::await_suspend(std::coroutine_handle<>)
 }
 
 bool
-FrontendSession::pipelineLocalRead(ReadAwaitable &aw)
-{
-    // Mirrors readInner steps 1-3 exactly (order and clock charges): an
-    // op must observe the same overlay/pin/cache state pipelined as it
-    // would serially.
-    aw.served_seq = pipe_write_seq_; // service happens now (or at park)
-    if (tracking_)
-        tracked_reads_.push_back(aw.addr);
-    if (!overlay_.empty() && overlayLookup(aw.addr, aw.dst, aw.len)) {
-        clock_.advance(lat_.dram_access_ns);
-        aw.result = Status::Ok;
-        return true;
-    }
-    if (aw.hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(aw.addr.raw());
-        if (it != pinned_.end() && it->second.size() == aw.len) {
-            std::memcpy(aw.dst, it->second.data(), aw.len);
-            clock_.advance(lat_.dram_access_ns);
-            aw.result = Status::Ok;
-            return true;
-        }
-    }
-    if (cfg_.symmetric) {
-        aw.result = symmetricRead(aw.addr, aw.dst, aw.len);
-        return true;
-    }
-    aw.cacheable = cfg_.use_cache && aw.hint.cacheable;
-    if (cfg_.read_prefetch && aw.cacheable && aw.hint.stream != 0)
-        prefetch_.onAccess(aw.hint.ds, aw.hint.stream, aw.addr.raw(),
-                           aw.len);
-    aw.admitted = aw.hint.admission == nullptr ||
-                  aw.hint.admission->admit(aw.hint.level);
-    if (aw.cacheable && cache_->lookup(aw.addr, aw.dst, aw.len)) {
-        if (aw.hint.admission != nullptr && aw.admitted)
-            aw.hint.admission->record(true);
-        aw.result = Status::Ok;
-        return true;
-    }
-    return false;
-}
-
-bool
-FrontendSession::pipelineRecheckLocal(ReadAwaitable &aw)
+FrontendSession::windowReadLocal(ReadAwaitable &aw)
 {
     const uint64_t t0 = clock_.now();
-    if (!overlay_.empty() && overlayLookup(aw.addr, aw.dst, aw.len)) {
-        clock_.advance(lat_.dram_access_ns);
-        aw.result = Status::Ok;
-        hist_read_local_.record(clock_.now() - t0);
-        return true;
-    }
-    if (aw.hint.pin && !pinned_.empty()) {
-        auto it = pinned_.find(aw.addr.raw());
-        if (it != pinned_.end() && it->second.size() == aw.len) {
-            std::memcpy(aw.dst, it->second.data(), aw.len);
-            clock_.advance(lat_.dram_access_ns);
-            aw.result = Status::Ok;
-            hist_read_local_.record(clock_.now() - t0);
-            return true;
-        }
-    }
-    // Admission was decided pre-suspend; do NOT re-run onAccess/admit —
-    // the serial path consults them exactly once per read.
-    if (aw.cacheable && cache_->lookup(aw.addr, aw.dst, aw.len)) {
-        if (aw.hint.admission != nullptr && aw.admitted)
-            aw.hint.admission->record(true);
-        aw.result = Status::Ok;
-        hist_read_local_.record(clock_.now() - t0);
-        return true;
-    }
-    return false;
+    if (!readLocalTiers(aw))
+        return false;
+    hist_read_local_.record(clock_.now() - t0);
+    return true;
 }
 
 void
@@ -513,7 +483,7 @@ FrontendSession::pipelineRefreshIfStale(ReadAwaitable &aw)
     const auto it = pipe_dirty_.find(aw.addr.raw());
     if (it == pipe_dirty_.end() || it->second <= aw.served_seq)
         return;
-    if (pipelineRecheckLocal(aw))
+    if (windowReadLocal(aw))
         aw.served_seq = pipe_write_seq_;
 }
 
@@ -525,16 +495,16 @@ FrontendSession::serveBatchRound()
     std::vector<ReadAwaitable *> round = std::move(pending_reads_);
     pending_reads_.clear();
     // A sibling op's window write may have landed at a parked read's
-    // address after it suspended: such reads re-run the local tiers
-    // (overlay now holds the fresh bytes — read-your-writes) instead of
-    // fetching a stale remote image. Reads at clean addresses skip the
-    // recheck entirely, so write-free (read-only) rounds are untouched.
+    // address after it suspended: such reads look the local tiers up
+    // again (overlay now holds the fresh bytes — read-your-writes)
+    // instead of fetching a stale remote image. Reads at clean addresses
+    // skip the lookup entirely, so write-free (read-only) rounds are
+    // untouched.
     std::vector<ReadAwaitable *> remote;
     remote.reserve(round.size());
     for (ReadAwaitable *aw : round) {
         aw->served_seq = pipe_write_seq_; // service time is now
-        if (pipe_dirty_.count(aw->addr.raw()) != 0 &&
-            pipelineRecheckLocal(*aw))
+        if (pipe_dirty_.count(aw->addr.raw()) != 0 && windowReadLocal(*aw))
             continue;
         remote.push_back(aw);
     }
@@ -566,57 +536,11 @@ FrontendSession::serveBatchRound()
             primaries.push_back(aw);
     }
 
-    // Speculative neighbors per op, filtered as the serial path filters
-    // (dedupe, resident-anywhere, wrong back-end), additionally
-    // excluding this round's demanded addresses — the round itself is
-    // the best prefetch.
-    struct Spec
-    {
-        uint64_t addr_raw;
-        uint32_t len;
-        DsId ds;
-    };
-    std::vector<Spec> specs;
-    for (ReadAwaitable *aw : primaries) {
-        const bool eligible =
-            cfg_.read_prefetch && cfg_.use_cache && aw->hint.cacheable &&
-            cfg_.prefetch_degree > 0 &&
-            (!aw->hint.neighbors.empty() || aw->hint.stream != 0);
-        if (!eligible)
-            continue;
-        prefetch_scratch_.clear();
-        prefetch_scratch_.insert(prefetch_scratch_.end(),
-                                 aw->hint.neighbors.begin(),
-                                 aw->hint.neighbors.end());
-        prefetch_.collect(aw->hint.ds, aw->hint.stream, aw->addr.raw(),
-                          &prefetch_scratch_);
-        uint32_t kept = 0;
-        for (const PrefetchCandidate &c : prefetch_scratch_) {
-            if (kept >= cfg_.prefetch_degree)
-                break;
-            if (c.addr_raw == 0 || c.len == 0)
-                continue;
-            const RemotePtr p = RemotePtr::fromRaw(c.addr_raw);
-            if (p.isNull() || p.backend != aw->addr.backend)
-                continue;
-            bool dup = false;
-            for (const ReadAwaitable *d : primaries)
-                if (d->addr.raw() == c.addr_raw) {
-                    dup = true;
-                    break;
-                }
-            for (size_t j = 0; !dup && j < specs.size(); ++j)
-                if (specs[j].addr_raw == c.addr_raw)
-                    dup = true;
-            if (dup ||
-                (!overlay_.empty() && overlay_.count(c.addr_raw) != 0))
-                continue;
-            if (cache_->contains(p, c.len))
-                continue;
-            specs.push_back({c.addr_raw, c.len, aw->hint.ds});
-            ++kept;
-        }
-    }
+    // Speculative neighbors per op, excluding every demanded address of
+    // the round — the round itself is the best prefetch.
+    spec_reads_.clear();
+    for (const ReadAwaitable *aw : primaries)
+        collectSpeculation(*aw, primaries);
 
     // Epoch snapshot BEFORE the gather: an invalidateDs landing while
     // the chain is in flight outranks the fetched bytes (the same
@@ -632,25 +556,25 @@ FrontendSession::serveBatchRound()
         else
             aw->result = pst;
     }
-    if (prefetch_bufs_.size() < specs.size())
-        prefetch_bufs_.resize(specs.size());
+    if (prefetch_bufs_.size() < spec_reads_.size())
+        prefetch_bufs_.resize(spec_reads_.size());
     size_t nspec = 0;
-    for (const Spec &sp : specs) {
+    for (const SpecRead &sp : spec_reads_) {
         prefetch_bufs_[nspec].resize(sp.len);
         if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
                                prefetch_bufs_[nspec].data(), sp.len)))
-            specs[nspec++] = sp;
+            spec_reads_[nspec++] = sp;
     }
-    specs.resize(nspec);
+    spec_reads_.resize(nspec);
     verbs_.tagGatherOps(posted.size());
     Status st = verbs_.readGather();
-    if (st == Status::InvalidArgument && !specs.empty()) {
+    if (st == Status::InvalidArgument && !spec_reads_.empty()) {
         // A learned candidate fell outside the target (stale prediction
         // over reclaimed NVM): forget those predictions and re-run the
         // round with the demanded reads alone.
-        for (const Spec &sp : specs)
+        for (const SpecRead &sp : spec_reads_)
             prefetch_.invalidateDs(sp.ds);
-        specs.clear();
+        spec_reads_.clear();
         for (ReadAwaitable *aw : posted)
             verbs_.postRead(aw->addr, aw->dst, aw->len);
         verbs_.tagGatherOps(posted.size());
@@ -666,18 +590,7 @@ FrontendSession::serveBatchRound()
     } else {
         for (ReadAwaitable *aw : posted)
             aw->result = Status::Ok;
-        if (!specs.empty()) {
-            ++prefetch_batches_;
-            prefetch_issued_ += specs.size();
-            for (size_t i = 0; i < specs.size(); ++i) {
-                const RemotePtr p = RemotePtr::fromRaw(specs[i].addr_raw);
-                cache_->insertSpeculative(specs[i].ds, p,
-                                          prefetch_bufs_[i].data(),
-                                          specs[i].len, issue_epoch);
-                if (tracking_)
-                    tracked_reads_.push_back(p);
-            }
-        }
+        admitSpeculation(issue_epoch);
     }
     for (auto &[dup, prim] : copies) {
         dup->result = prim->result;
@@ -686,21 +599,10 @@ FrontendSession::serveBatchRound()
             clock_.advance(lat_.dram_access_ns);
         }
     }
-    // Post-miss bookkeeping each op's serial path would have done
-    // (admission window, cache fill, batch-local pin).
     for (ReadAwaitable *aw : round) {
         if (!ok(aw->result))
             continue;
-        if (aw->cacheable && aw->admitted) {
-            if (aw->hint.admission != nullptr)
-                aw->hint.admission->record(false);
-            cache_->insert(aw->hint.ds, aw->addr, aw->dst, aw->len);
-        }
-        if (aw->hint.pin) {
-            auto &slot = pinned_[aw->addr.raw()];
-            slot.assign(static_cast<uint8_t *>(aw->dst),
-                        static_cast<uint8_t *>(aw->dst) + aw->len);
-        }
+        fillAfterMiss(*aw);
         hist_read_remote_.record(clock_.now() - t0);
     }
 }

@@ -58,14 +58,12 @@ namespace asymnvm {
 /** Per-session tunables; presets mirror the system rows of Table 3. */
 struct SessionConfig
 {
-    uint64_t session_id = 1;    //!< identity for log-slot reattachment
     /**
-     * Queue-pair identity at the shared back-end NIC's per-QP contention
-     * model; 0 (default) adopts session_id, so distinct sessions land on
-     * distinct QPs without extra configuration. Only meaningful when the
-     * back-end enables NicQosConfig::cross_session_merge.
+     * Identity for log-slot reattachment; also the session's queue-pair
+     * id at the shared back-end NIC's per-QP contention model, so
+     * distinct sessions land on distinct QPs.
      */
-    uint64_t qp_id = 0;
+    uint64_t session_id = 1;
     bool use_oplog = true;      //!< decoupled op-log persistency (R)
     bool use_txlog = true;      //!< memory logs via transactions
     bool use_cache = true;      //!< front-end DRAM cache (C)
@@ -101,7 +99,6 @@ struct SessionConfig
      * the serial-read ablation baseline (every hop pays its own RTT).
      */
     bool read_prefetch = true;
-    uint32_t prefetch_degree = 4; //!< max speculative WQEs per gather
     /**
      * Wire encoding of this session's memory-log transactions and
      * op-log records (see log_format.h): classic Figure-3 layout
@@ -303,7 +300,8 @@ class FrontendSession
      * miss inside an active pipeline parks the read with the reactor and
      * suspends until the round's shared gather delivers it. Outside a
      * pipeline (or at depth 1) it degrades to the serial read() — same
-     * verbs, same clock charges, bit-identical wire traffic.
+     * verbs, same clock charges, bit-identical wire traffic. The serial
+     * read() walks one of these through the same read stages.
      *
      * The hint's neighbors span must stay alive across the suspension;
      * coroutine-frame arrays satisfy this naturally.
@@ -316,7 +314,8 @@ class FrontendSession
         uint32_t len = 0;
         ReadHint hint;
         Status result = Status::Ok;
-        bool cacheable = false; //!< computed by the local phase
+        bool looked_up = false; //!< the first tier lookup has run
+        bool cacheable = false; //!< decided by the first tier lookup
         bool admitted = false;  //!< admission decision, made pre-suspend
         /** Pipeline write sequence observed when this read was served
          *  (read-set validation: a later same-address window write makes
@@ -851,50 +850,66 @@ class FrontendSession
     }
 
     Status flushAllInner();
-    Status readInner(RemotePtr addr, void *dst, uint32_t len,
-                     const ReadHint &hint);
+
+    // Read stages, shared by the serial read() and the reactor's windows
+    // (only the wire step differs: remoteReadWithPrefetch vs. one shared
+    // serveBatchRound gather).
 
     /**
-     * Remote-miss service: fetch @p len bytes at @p addr, gathering
-     * speculative neighbor reads in the same doorbell when the hint and
-     * config allow it (speculative entries land in the cache). Falls
-     * back to a plain RDMA_Read when there is nothing to speculate on or
-     * a learned address turns out invalid.
+     * Tier lookup: overlay, batch-local pins, symmetric NVM, then the
+     * DRAM cache. The first lookup of @p aw also tracks it, trains the
+     * prefetcher and takes the admission decision; a later lookup of
+     * the same read (a sibling's window write landed at its address)
+     * consults overlay, pins and cache only. Returns true when @p aw
+     * was served (aw.result set); false means a remote miss.
      */
-    Status remoteReadWithPrefetch(RemotePtr addr, void *dst, uint32_t len,
-                                  const ReadHint &hint);
+    bool readLocalTiers(ReadAwaitable &aw);
 
     /**
-     * Local phase of the pipelined read (mirrors readInner steps 1-3:
-     * tracking, overlay, pins, symmetric, prefetch training, admission,
-     * cache). Returns true when the awaitable completed inline; false
-     * means a remote miss — the caller suspends and the reactor serves
-     * it in the next shared gather round.
+     * Speculation filter: append to spec_reads_ up to kPrefetchDegree
+     * neighbors of @p aw's miss (hint neighbors, then learned runs) that
+     * are on its back-end, not in @p demanded, not already in
+     * spec_reads_, and not resident in the overlay or the cache.
      */
-    bool pipelineLocalRead(ReadAwaitable &aw);
+    void collectSpeculation(const ReadAwaitable &aw,
+                            std::span<ReadAwaitable *const> demanded);
+
+    /** Park the gathered spec_reads_ (landed in prefetch_bufs_) in the
+     *  cache as speculative entries stamped with @p issue_epoch. */
+    void admitSpeculation(uint64_t issue_epoch);
+
+    /** Post-miss fill of a remotely served read: admission record,
+     *  cache insert and batch-local pin. */
+    void fillAfterMiss(const ReadAwaitable &aw);
 
     /**
-     * Serve every parked PendingRead as one doorbell-batched gather per
-     * target (demanded reads deduped, speculative neighbors appended up
-     * to prefetch_degree per op), then apply the post-miss cache/pin
-     * bookkeeping each op's serial path would have done.
+     * Serial wire step of a miss: a plain RDMA_Read when no speculation
+     * survives the filter, else one doorbell-batched gather of the
+     * demanded read plus its speculative neighbors (falling back to the
+     * plain read when a learned address turns out invalid).
+     */
+    Status remoteReadWithPrefetch(ReadAwaitable &aw);
+
+    /** Window tier lookup: readLocalTiers plus the local-read latency
+     *  sample when it serves @p aw. */
+    bool windowReadLocal(ReadAwaitable &aw);
+
+    /**
+     * Serve every parked read as one doorbell-batched gather per target
+     * (demanded reads deduped, speculative neighbors appended), then
+     * fill each like a serial miss. Parked reads whose address a
+     * sibling's window write dirtied look the local tiers up again
+     * first: serving them remotely would return a stale (or even torn)
+     * image.
      */
     void serveBatchRound();
-
-    /**
-     * Re-run the local tiers for a read parked *before* a sibling op's
-     * window write landed at its address: the overlay/cache now hold the
-     * fresh bytes, so serving remotely would return a stale (or even
-     * torn) image. Returns true when the read was satisfied locally.
-     */
-    bool pipelineRecheckLocal(ReadAwaitable &aw);
 
     /**
      * Read-your-writes backstop called from ReadAwaitable::await_resume:
      * when a sibling window write dirtied the awaitable's address AFTER
      * its bytes were served (intra-round staleness — the cross-round
-     * case is caught by serveBatchRound's pre-gather recheck), replay
-     * the local tiers and advance served_seq so write coroutines'
+     * case is caught by serveBatchRound's pre-gather lookup), look the
+     * local tiers up again and advance served_seq so write coroutines'
      * read-set validation does not restart over bytes that are in fact
      * fresh. A recheck miss (e.g. the address was freed mid-window)
      * leaves the served bytes alone — the consumer's own torn-view
@@ -982,11 +997,19 @@ class FrontendSession
     Histogram hist_fanout_; //!< multi-back-end fan-out flush latency
     Histogram hist_read_remote_; //!< reads that issued remote verbs
     Histogram hist_read_local_;  //!< reads served from overlay/pin/cache
-    bool last_read_remote_ = false; //!< set by readInner for read()
 
     // Traversal prefetch (read-side doorbell batching).
+    static constexpr uint32_t kPrefetchDegree = 4; //!< per demanded read
+    /** A speculative read that survived collectSpeculation. */
+    struct SpecRead
+    {
+        uint64_t addr_raw;
+        uint32_t len;
+        DsId ds;
+    };
     PrefetchEngine prefetch_;
     std::vector<PrefetchCandidate> prefetch_scratch_; //!< collect() reuse
+    std::vector<SpecRead> spec_reads_; //!< this miss's / round's speculation
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
     uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
     uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued

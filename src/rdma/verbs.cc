@@ -106,48 +106,45 @@ Verbs::resetQp(NodeId id)
     ++retry_stats_.qp_resets;
 }
 
-bool
-Verbs::nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
-                   uint64_t *backoff)
+template <typename Once>
+Status
+Verbs::retrying(VerbKind kind, NodeId id, Once &&once)
 {
-    if (!isTransient(st))
-        return false; // fail-stop (or success) escapes to the caller
-    if (++*attempt >= policy_.max_attempts)
-        return false; // budget spent: the storm outlived every retry
-    if (st == Status::QpError)
-        resetQp(id); // RESET -> INIT -> RTR -> RTS before re-issuing
-    switch (kind) {
-      case VerbKind::Read: ++retry_stats_.retries_read; break;
-      case VerbKind::Write: ++retry_stats_.retries_write; break;
-      case VerbKind::Posted: ++retry_stats_.retries_posted; break;
-      case VerbKind::Atomic: ++retry_stats_.retries_atomic; break;
+    uint64_t backoff = policy_.base_backoff_ns;
+    for (uint32_t attempt = 1;; ++attempt) {
+        const Status st = once();
+        if (!isTransient(st))
+            return st; // fail-stop (or success) escapes to the caller
+        if (attempt >= policy_.max_attempts)
+            return st; // budget spent: the storm outlived every retry
+        if (st == Status::QpError)
+            resetQp(id); // RESET -> INIT -> RTR -> RTS before re-issuing
+        switch (kind) {
+          case VerbKind::Read: ++retry_stats_.retries_read; break;
+          case VerbKind::Write: ++retry_stats_.retries_write; break;
+          case VerbKind::Posted: ++retry_stats_.retries_posted; break;
+          case VerbKind::Atomic: ++retry_stats_.retries_atomic; break;
+        }
+        // Capped exponential backoff with deterministic jitter, charged
+        // to the virtual clock: delay in [d - d*j/2, d + d*j/2].
+        uint64_t delay = backoff;
+        if (policy_.jitter > 0) {
+            const uint64_t span = static_cast<uint64_t>(
+                static_cast<double>(delay) * policy_.jitter);
+            if (span > 0)
+                delay = delay - span / 2 + rng_.nextBounded(span + 1);
+        }
+        clock_->advance(delay);
+        retry_stats_.backoff_ns += delay;
+        backoff = std::min<uint64_t>(backoff * 2, policy_.max_backoff_ns);
     }
-    // Capped exponential backoff with deterministic jitter, charged to
-    // the virtual clock: delay in [d - d*j/2, d + d*j/2].
-    uint64_t delay = *backoff;
-    if (policy_.jitter > 0) {
-        const uint64_t span = static_cast<uint64_t>(
-            static_cast<double>(delay) * policy_.jitter);
-        if (span > 0)
-            delay = delay - span / 2 + rng_.nextBounded(span + 1);
-    }
-    clock_->advance(delay);
-    retry_stats_.backoff_ns += delay;
-    *backoff = std::min<uint64_t>(*backoff * 2, policy_.max_backoff_ns);
-    return true;
 }
 
 Status
 Verbs::read(RemotePtr src, void *dst, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = readOnce(src, dst, len);
-        if (!nextAttempt(VerbKind::Read, src.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Read, src.backend,
+                    [&] { return readOnce(src, dst, len); });
 }
 
 Status
@@ -169,14 +166,8 @@ Verbs::readOnce(RemotePtr src, void *dst, size_t len)
 Status
 Verbs::write(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = writeOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Write, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Write, dst.backend,
+                    [&] { return writeOnce(dst, src, len); });
 }
 
 Status
@@ -214,14 +205,8 @@ Verbs::writeOnce(RemotePtr dst, const void *src, size_t len)
 Status
 Verbs::writeAsync(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = writeAsyncOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Posted, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Posted, dst.backend,
+                    [&] { return writeAsyncOnce(dst, src, len); });
 }
 
 Status
@@ -259,14 +244,8 @@ Verbs::writeAsyncOnce(RemotePtr dst, const void *src, size_t len)
 Status
 Verbs::postWrite(RemotePtr dst, const void *src, size_t len)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = postWriteOnce(dst, src, len);
-        if (!nextAttempt(VerbKind::Posted, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Posted, dst.backend,
+                    [&] { return postWriteOnce(dst, src, len); });
 }
 
 Status
@@ -416,14 +395,8 @@ Verbs::readGather()
     for (auto &[id, wqes] : read_chains_) {
         if (wqes.empty())
             continue;
-        uint32_t attempt = 0;
-        uint64_t backoff = policy_.base_backoff_ns;
-        Status st;
-        for (;;) {
-            st = readGatherOnce(id, wqes);
-            if (!nextAttempt(VerbKind::Read, id, st, &attempt, &backoff))
-                break;
-        }
+        const Status st = retrying(VerbKind::Read, id,
+                                   [&] { return readGatherOnce(id, wqes); });
         if (!ok(st) && ok(result))
             result = st;
     }
@@ -530,14 +503,8 @@ Verbs::pendingReadWqes() const
 Status
 Verbs::read64(RemotePtr src, uint64_t *out)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = read64Once(src, out);
-        if (!nextAttempt(VerbKind::Atomic, src.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, src.backend,
+                    [&] { return read64Once(src, out); });
 }
 
 Status
@@ -559,14 +526,8 @@ Verbs::read64Once(RemotePtr src, uint64_t *out)
 Status
 Verbs::write64(RemotePtr dst, uint64_t v)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = write64Once(dst, v);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend,
+                    [&] { return write64Once(dst, v); });
 }
 
 Status
@@ -590,14 +551,8 @@ Status
 Verbs::compareAndSwap(RemotePtr dst, uint64_t expected, uint64_t desired,
                       uint64_t *old)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = compareAndSwapOnce(dst, expected, desired, old);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend,
+                    [&] { return compareAndSwapOnce(dst, expected, desired, old); });
 }
 
 Status
@@ -621,14 +576,8 @@ Verbs::compareAndSwapOnce(RemotePtr dst, uint64_t expected, uint64_t desired,
 Status
 Verbs::fetchAdd(RemotePtr dst, uint64_t delta, uint64_t *old)
 {
-    uint32_t attempt = 0;
-    uint64_t backoff = policy_.base_backoff_ns;
-    for (;;) {
-        const Status st = fetchAddOnce(dst, delta, old);
-        if (!nextAttempt(VerbKind::Atomic, dst.backend, st, &attempt,
-                         &backoff))
-            return st;
-    }
+    return retrying(VerbKind::Atomic, dst.backend,
+                    [&] { return fetchAddOnce(dst, delta, old); });
 }
 
 Status

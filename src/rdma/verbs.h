@@ -346,14 +346,16 @@ class Verbs
     void flushChain(NodeId id, PostChain &chain, bool own_doorbell);
 
     /**
-     * Decide whether a failed verb attempt retries: true after charging
-     * the jittered backoff (and resetting the QP on QpError); false when
-     * the status is not transient or the attempt budget is spent.
+     * Run @p once (a single verb attempt on target @p id) and re-run it
+     * while it fails transiently, charging a jittered exponential backoff
+     * (and resetting the QP on QpError) before each retry. Returns the
+     * first non-transient status, or the last one once the attempt
+     * budget is spent.
      */
-    bool nextAttempt(VerbKind kind, NodeId id, Status st, uint32_t *attempt,
-                     uint64_t *backoff);
+    template <typename Once>
+    Status retrying(VerbKind kind, NodeId id, Once &&once);
 
-    // Single-attempt verb bodies wrapped by the public retry loops.
+    // Single-attempt verb bodies wrapped by retrying().
     Status readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes);
     Status readOnce(RemotePtr src, void *dst, size_t len);
     Status writeOnce(RemotePtr dst, const void *src, size_t len);

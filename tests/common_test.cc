@@ -202,20 +202,18 @@ TEST(HistogramTest, InterpolatedPercentilesAgainstKnownDistribution)
     Histogram h;
     for (uint64_t v = 1; v <= 10000; ++v)
         h.record(v);
-    EXPECT_NEAR(static_cast<double>(h.percentileInterp(50)), 5000.0,
-                900.0);
-    EXPECT_NEAR(static_cast<double>(h.percentileInterp(99)), 9900.0,
-                600.0);
-    EXPECT_NEAR(static_cast<double>(h.percentileInterp(99.9)), 9990.0,
-                600.0);
+    EXPECT_NEAR(static_cast<double>(h.percentile(50)), 5000.0, 900.0);
+    EXPECT_NEAR(static_cast<double>(h.percentile(99)), 9900.0, 600.0);
+    EXPECT_NEAR(static_cast<double>(h.percentile(99.9)), 9990.0, 600.0);
     // Ordering and clamping invariants.
-    EXPECT_LE(h.percentileInterp(50), h.percentileInterp(99));
-    EXPECT_LE(h.percentileInterp(99), h.percentileInterp(99.9));
-    EXPECT_LE(h.percentileInterp(99.9), h.max());
-    EXPECT_EQ(h.percentileInterp(100), h.max());
-    // The bucket-bound percentile stays what existing tables print.
-    EXPECT_EQ(h.percentile(50), (1ULL << 13) - 1);
-    EXPECT_EQ(Histogram{}.percentileInterp(99), 0u);
+    EXPECT_LE(h.percentile(50), h.percentile(99));
+    EXPECT_LE(h.percentile(99), h.percentile(99.9));
+    EXPECT_LE(h.percentile(99.9), h.max());
+    EXPECT_EQ(h.percentile(100), h.max());
+    // Rank 5000 is the 905th of the 4096 samples in bucket [4096, 8191]:
+    // interpolated, not the bucket's upper bound 8191.
+    EXPECT_EQ(h.percentile(50), 5001u);
+    EXPECT_EQ(Histogram{}.percentile(99), 0u);
 }
 
 TEST(HistogramTest, MergeEqualsRecordingUnion)
@@ -233,8 +231,6 @@ TEST(HistogramTest, MergeEqualsRecordingUnion)
     EXPECT_DOUBLE_EQ(a.mean(), all.mean());
     for (const double p : {10.0, 50.0, 90.0, 99.0, 99.9}) {
         EXPECT_EQ(a.percentile(p), all.percentile(p)) << "p=" << p;
-        EXPECT_EQ(a.percentileInterp(p), all.percentileInterp(p))
-            << "p=" << p;
     }
 }
 
