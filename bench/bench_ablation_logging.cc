@@ -90,32 +90,21 @@ void
 writeJson(const AblationRow *rows, const AblationResult *results,
           size_t n, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_logging\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n"
-                    "  \"columns\": [\"kops\", \"wire_mb\", "
-                    "\"log_bytes_per_op\", \"replayed_logs\"],\n"
-                    "  \"rows\": [\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
-    for (size_t i = 0; i < n; ++i) {
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"format\": \"%s\", "
-                     "\"kops\": %.1f, \"wire_mb\": %.3f, "
-                     "\"log_bytes_per_op\": %.1f, \"replayed_logs\": %"
-                     PRIu64 "}%s\n",
-                     rows[i].label, logFormatName(rows[i].fmt),
-                     results[i].kops, results[i].wire_mb,
-                     results[i].log_bytes_per_op, results[i].replayed,
-                     i + 1 == n ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    static constexpr const char *kCols[] = {
+        "kops", "wire_mb", "log_bytes_per_op", "replayed_logs"};
+    JsonWriter w(path);
+    w.key("bench").string("ablation_logging");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("ops").number(kOps).key("tiny").boolean(benchTiny()).end();
+    w.key("columns").strings(kCols).key("rows").beginArray();
+    for (size_t i = 0; i < n; ++i)
+        w.beginObject().key("label").string(rows[i].label)
+            .key("format").string(logFormatName(rows[i].fmt))
+            .key("kops").number(results[i].kops, 1)
+            .key("wire_mb").number(results[i].wire_mb, 3)
+            .key("log_bytes_per_op").number(results[i].log_bytes_per_op, 1)
+            .key("replayed_logs").number(results[i].replayed).end();
+    w.end().close();
 }
 
 void

@@ -57,6 +57,20 @@ struct DepthPoint
     PipelineStats pipe;
 };
 
+/** @p out with its cost columns: @p nops ops on @p s since @p t0. */
+DepthPoint
+measured(DepthPoint out, FrontendSession &s, uint64_t t0, uint64_t nops)
+{
+    const uint64_t dt = s.clock().now() - t0;
+    const SessionStats st = s.stats();
+    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
+    out.kops = Throughput{nops, dt}.kops();
+    out.doorbells = st.verbs.doorbells;
+    out.reads = st.verbs.reads;
+    out.pipe = st.pipeline;
+    return out;
+}
+
 /**
  * Cold-cache B+tree lookups at one pipeline depth. Every run replays
  * the same Zipf key stream through the same batch boundaries, so the
@@ -102,14 +116,7 @@ runBptColdLookupAtDepth(uint64_t depth)
         (void)ds.findMany({keys.data() + base, n}, vals.data(),
                           results.data());
     }
-    const uint64_t dt = s.clock().now() - t0;
-    const SessionStats st = s.stats();
-    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
-    out.kops = Throughput{nops, dt}.kops();
-    out.doorbells = st.verbs.doorbells;
-    out.reads = st.verbs.reads;
-    out.pipe = st.pipeline;
-    return out;
+    return measured(out, s, t0, nops);
 }
 
 /**
@@ -168,14 +175,7 @@ runBptMixedAtDepth(uint64_t depth, double put_ratio)
         s.executePipelined(std::span<OpTask>(ops),
                            std::span<Status>(results.data(), n));
     }
-    const uint64_t dt = s.clock().now() - t0;
-    const SessionStats st = s.stats();
-    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
-    out.kops = Throughput{nops, dt}.kops();
-    out.doorbells = st.verbs.doorbells;
-    out.reads = st.verbs.reads;
-    out.pipe = st.pipeline;
-    return out;
+    return measured(out, s, t0, nops);
 }
 
 /** Stacks popped one-per-structure per window (the Stack RCB cell). */
@@ -224,14 +224,7 @@ runStackPopFanoutAtDepth(uint64_t depth)
         s.executePipelined(std::span<OpTask>(ops),
                            std::span<Status>(results.data(), kStacks));
     }
-    const uint64_t dt = s.clock().now() - t0;
-    const SessionStats st = s.stats();
-    out.ns_per_op = static_cast<double>(dt) / static_cast<double>(nops);
-    out.kops = Throughput{nops, dt}.kops();
-    out.doorbells = st.verbs.doorbells;
-    out.reads = st.verbs.reads;
-    out.pipe = st.pipeline;
-    return out;
+    return measured(out, s, t0, nops);
 }
 
 void
@@ -244,34 +237,29 @@ printDepthRow(const DepthPoint &p, double base)
                 p.doorbells, p.reads);
 }
 
+/** One JSON row per depth point, prefixed by @p extra_key when set. */
 void
-fprintDepthRows(std::FILE *f, const std::vector<DepthPoint> &points,
-                const char *extra_key, double extra_val,
-                bool trailing_comma = false)
+jsonDepthRows(JsonWriter &w, const std::vector<DepthPoint> &points,
+              const char *extra_key, double extra_val)
 {
     const double base = points.empty() ? 0.0 : points[0].ns_per_op;
-    for (size_t i = 0; i < points.size(); ++i) {
-        const DepthPoint &p = points[i];
-        std::fprintf(f, "    {");
+    for (const DepthPoint &p : points) {
+        w.beginObject();
         if (extra_key != nullptr)
-            std::fprintf(f, "\"%s\": %.2f, ", extra_key, extra_val);
-        const bool last = i + 1 == points.size();
-        std::fprintf(f,
-                     "\"depth\": %" PRIu64 ", \"kops\": %.1f, "
-                     "\"ns_per_op\": %.1f, \"speedup\": %.2f, "
-                     "\"doorbells\": %" PRIu64 ", \"reads\": %" PRIu64
-                     ", \"rounds\": %" PRIu64 ", \"batched_reads\": %"
-                     PRIu64 ", \"overlap\": %.2f, \"max_in_flight\": %"
-                     PRIu64 ", \"batched_appends\": %" PRIu64
-                     ", \"coalesced_fences\": %" PRIu64
-                     ", \"dep_stalls\": %" PRIu64 "}%s\n",
-                     p.depth, p.kops, p.ns_per_op,
-                     p.ns_per_op > 0 ? base / p.ns_per_op : 0.0,
-                     p.doorbells, p.reads, p.pipe.rounds,
-                     p.pipe.batched_reads, p.pipe.overlap(),
-                     p.pipe.max_in_flight, p.pipe.batched_appends,
-                     p.pipe.coalesced_fences, p.pipe.dep_stalls,
-                     last ? (trailing_comma ? "," : "") : ",");
+            w.key(extra_key).number(extra_val, 2);
+        w.key("depth").number(p.depth).key("kops").number(p.kops, 1)
+            .key("ns_per_op").number(p.ns_per_op, 1)
+            .key("speedup")
+            .number(p.ns_per_op > 0 ? base / p.ns_per_op : 0.0, 2)
+            .key("doorbells").number(p.doorbells)
+            .key("reads").number(p.reads)
+            .key("rounds").number(p.pipe.rounds)
+            .key("batched_reads").number(p.pipe.batched_reads)
+            .key("overlap").number(p.pipe.overlap(), 2)
+            .key("max_in_flight").number(p.pipe.max_in_flight)
+            .key("batched_appends").number(p.pipe.batched_appends)
+            .key("coalesced_fences").number(p.pipe.coalesced_fences)
+            .key("dep_stalls").number(p.pipe.dep_stalls).end();
     }
 }
 
@@ -286,29 +274,20 @@ writeJson(const std::vector<DepthPoint> &reads,
               &mixes,
           const std::vector<DepthPoint> &stack_points, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_pipeline\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"batch\": %zu"
-                    ", \"stacks\": %zu, \"tiny\": %s},\n"
-                    "  \"rows\": [\n",
-                 kPreload, kOps / 2, kBatch, kStacks,
-                 benchTiny() ? "true" : "false");
-    fprintDepthRows(f, reads, nullptr, 0.0);
-    std::fprintf(f, "  ],\n  \"write_rows\": [\n");
-    for (size_t m = 0; m < mixes.size(); ++m)
-        fprintDepthRows(f, mixes[m].second, "write_ratio",
-                        mixes[m].first,
-                        /*trailing_comma=*/m + 1 != mixes.size());
-    std::fprintf(f, "  ],\n  \"stack_rows\": [\n");
-    fprintDepthRows(f, stack_points, nullptr, 0.0);
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    JsonWriter w(path);
+    w.key("bench").string("ablation_pipeline");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("ops").number(kOps / 2).key("batch").number(kBatch)
+        .key("stacks").number(kStacks).key("tiny").boolean(benchTiny())
+        .end();
+    w.key("rows").beginArray();
+    jsonDepthRows(w, reads, nullptr, 0.0);
+    w.end().key("write_rows").beginArray();
+    for (const auto &[ratio, points] : mixes)
+        jsonDepthRows(w, points, "write_ratio", ratio);
+    w.end().key("stack_rows").beginArray();
+    jsonDepthRows(w, stack_points, nullptr, 0.0);
+    w.end().close();
 }
 
 void

@@ -8,10 +8,11 @@
  * Throughput is measured against *virtual time* (see DESIGN.md §2): the
  * per-session SimClock accumulates the modeled cost of every NVM access,
  * RDMA verb and CPU step, so `ops / virtual seconds` reproduces the
- * paper's performance shape deterministically. Because of that, the
- * google-benchmark wall-clock loop is not the measurement instrument
- * here; each binary is a self-contained harness that prints the same
- * rows/series the paper's table or figure reports.
+ * paper's performance shape deterministically. Because of that, a
+ * wall-clock benchmark loop is not the measurement instrument here; each
+ * binary is a self-contained harness that prints the same rows/series
+ * the paper's table or figure reports, and writes its machine-readable
+ * companion through JsonWriter.
  */
 
 #include <cinttypes>
@@ -196,6 +197,24 @@ preloadKeys(FrontendSession &s, DS &ds, const WorkloadConfig &wcfg,
     (void)s.flushAll();
 }
 
+/**
+ * Preload @p ds with @p preload keys (seed 42), zero the session's
+ * counters, then run @p nops operations of @p mix over the same key
+ * space (seed 99) and return the measured KOPS.
+ */
+template <typename DS>
+double
+preloadThenRunKops(FrontendSession &s, DS &ds, uint64_t preload,
+                   uint64_t nops, WorkloadConfig mix)
+{
+    preloadKeys(s, ds, {.key_space = preload, .seed = 42}, preload);
+    s.resetStats();
+    mix.key_space = preload;
+    mix.seed = 99;
+    Workload w(mix);
+    return runKvWorkload(s, ds, w.generate(nops)).kops();
+}
+
 /** Print a table header. */
 inline void
 printHeader(const std::string &title, const std::string &columns)
@@ -286,6 +305,136 @@ printPipelineCounters(const char *label, const PipelineStats &p)
                     "", p.batched_appends, p.coalesced_fences,
                     p.dep_stalls);
 }
+
+/**
+ * The one writer behind every BENCH_*.json: a top-level object built in
+ * document order. key() names the next member, beginObject() and
+ * beginArray() nest until end(), and number() takes its column's fixed
+ * precision, so each file keeps its documented number text. The root
+ * and the arrays it holds print one element per line (bar the one-line
+ * arrays of numbers() and strings()); everything deeper prints on one
+ * line. close() writes the file; one that cannot be written ends the
+ * program with exit status 1, so a bench smoke test cannot pass without
+ * its JSON.
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string path)
+        : path_(std::move(path)), doc_("{"), levels_{{'}', true}}
+    {}
+
+    JsonWriter &key(const char *k)
+    {
+        put(quoted(k) + ": ");
+        keyed_ = true;
+        return *this;
+    }
+    JsonWriter &beginObject() { return open('{', '}', false); }
+    JsonWriter &beginArray() { return open('[', ']', levels_.size() == 1); }
+
+    /** Close the innermost object or array. */
+    JsonWriter &end()
+    {
+        const Level l = levels_.back();
+        levels_.pop_back();
+        if (l.multiline && !l.empty)
+            newline();
+        doc_ += l.closer;
+        return *this;
+    }
+
+    JsonWriter &string(const char *v) { return put(quoted(v)); }
+    JsonWriter &number(uint64_t v) { return put(std::to_string(v)); }
+    JsonWriter &number(double v, int precision)
+    {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+        return put(buf);
+    }
+    JsonWriter &boolean(bool v) { return put(v ? "true" : "false"); }
+    JsonWriter &null() { return put("null"); }
+
+    /** An array of @p v, each printed at @p precision. */
+    JsonWriter &numbers(const std::vector<double> &v, int precision)
+    {
+        open('[', ']', false);
+        for (const double x : v)
+            number(x, precision);
+        return end();
+    }
+
+    /** An array of string literals. */
+    template <size_t N>
+    JsonWriter &strings(const char *const (&v)[N])
+    {
+        open('[', ']', false);
+        for (const char *x : v)
+            string(x);
+        return end();
+    }
+
+    /** Close the document, write the file and, if @p announce, say so. */
+    void close(bool announce = true)
+    {
+        end();
+        std::FILE *f = std::fopen(path_.c_str(), "w");
+        bool written =
+            f != nullptr && std::fprintf(f, "%s\n", doc_.c_str()) > 0;
+        written = f != nullptr && std::fclose(f) == 0 && written;
+        if (!written) {
+            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
+            std::exit(1);
+        }
+        if (announce)
+            std::printf("\nwrote %s\n", path_.c_str());
+    }
+
+  private:
+    struct Level
+    {
+        char closer;
+        bool multiline; //!< one element per line
+        bool empty = true;
+    };
+
+    static std::string quoted(const char *s)
+    {
+        std::string q = "\"";
+        for (; *s != '\0'; ++s)
+            q += *s == '"' || *s == '\\' ? std::string{'\\', *s}
+                                          : std::string{*s};
+        return q + '"';
+    }
+
+    void newline() { doc_ += '\n' + std::string(2 * levels_.size(), ' '); }
+
+    /** Append @p text as the next element, or as the value of a key. */
+    JsonWriter &put(const std::string &text)
+    {
+        Level &l = levels_.back();
+        if (!keyed_ && !l.empty)
+            doc_ += l.multiline ? "," : ", ";
+        if (!keyed_ && l.multiline)
+            newline();
+        l.empty = false;
+        keyed_ = false;
+        doc_ += text;
+        return *this;
+    }
+
+    JsonWriter &open(char bracket, char closer, bool multiline)
+    {
+        put(std::string(1, bracket));
+        levels_.push_back({closer, multiline});
+        return *this;
+    }
+
+    std::string path_;
+    std::string doc_;
+    std::vector<Level> levels_;
+    bool keyed_ = false; //!< a key awaits its value
+};
 
 /** True when ASYMNVM_BENCH_TINY requests smoke-test parameters. */
 inline bool

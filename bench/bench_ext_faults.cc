@@ -203,28 +203,19 @@ void
 writeMultiSessionJson(const std::vector<MsPoint> &points,
                       const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ext_faults_multisession\",\n"
-                    "  \"unit\": \"kops\",\n  \"points\": [\n");
-    for (size_t i = 0; i < points.size(); ++i) {
-        const MsPoint &p = points[i];
-        std::fprintf(
-            f,
-            "    {\"sessions\": %u, \"agg_kops\": %.1f, "
-            "\"mean_stall_us\": %.1f, \"max_stall_us\": %.1f, "
-            "\"promotions\": %" PRIu64 ", \"promo_won\": %" PRIu64 ", "
-            "\"promo_lost\": %" PRIu64 ", \"stale_fenced\": %" PRIu64
-            "}%s\n",
-            p.sessions, p.agg_kops, p.mean_stall_us, p.max_stall_us,
-            p.promotions, p.promo_won, p.promo_lost, p.stale_fenced,
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    JsonWriter w(path);
+    w.key("bench").string("ext_faults_multisession");
+    w.key("unit").string("kops").key("points").beginArray();
+    for (const MsPoint &p : points)
+        w.beginObject().key("sessions").number(p.sessions)
+            .key("agg_kops").number(p.agg_kops, 1)
+            .key("mean_stall_us").number(p.mean_stall_us, 1)
+            .key("max_stall_us").number(p.max_stall_us, 1)
+            .key("promotions").number(p.promotions)
+            .key("promo_won").number(p.promo_won)
+            .key("promo_lost").number(p.promo_lost)
+            .key("stale_fenced").number(p.stale_fenced).end();
+    w.end().close(/*announce=*/false);
 }
 
 void

@@ -35,16 +35,7 @@ runBpt(Mode mode, const LatencyModel &lat)
     BpTree tree;
     if (!ok(BpTree::create(s, 1, "sens", &tree)))
         return -1;
-    WorkloadConfig wcfg;
-    wcfg.key_space = kPreload;
-    wcfg.seed = 42;
-    preloadKeys(s, tree, wcfg, kPreload);
-    s.resetStats();
-    WorkloadConfig mcfg = wcfg;
-    mcfg.put_ratio = 0.5;
-    mcfg.seed = 99;
-    Workload w(mcfg);
-    return runKvWorkload(s, tree, w.generate(kOps)).kops();
+    return preloadThenRunKops(s, tree, kPreload, kOps, {.put_ratio = 0.5});
 }
 
 void

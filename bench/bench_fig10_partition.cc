@@ -104,40 +104,21 @@ writeJson(const std::vector<std::vector<double>> &main_rows,
           const std::vector<double> &par_series,
           const std::vector<double> &ser_series, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig10_partition\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
     static constexpr const char *kCols[] = {"SkipList", "BST", "BPT",
                                             "MV-BST", "MV-BPT"};
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kCols); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kCols[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
-    for (size_t n = 0; n < main_rows.size(); ++n) {
-        std::fprintf(f, "    {\"backends\": %zu, \"cells\": [", n + 1);
-        for (size_t i = 0; i < main_rows[n].size(); ++i)
-            std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ",
-                         main_rows[n][i]);
-        std::fprintf(f, "]}%s\n",
-                     n + 1 == main_rows.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n  \"fanout_ablation\": {\"structure\": "
-                    "\"BPT\", \"parallel\": [");
-    for (size_t i = 0; i < par_series.size(); ++i)
-        std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", par_series[i]);
-    std::fprintf(f, "], \"serial\": [");
-    for (size_t i = 0; i < ser_series.size(); ++i)
-        std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", ser_series[i]);
-    std::fprintf(f, "]}\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    JsonWriter w(path);
+    w.key("bench").string("fig10_partition").key("unit").string("kops");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("ops").number(kOps).key("tiny").boolean(benchTiny()).end();
+    w.key("columns").strings(kCols).key("rows").beginArray();
+    for (size_t n = 0; n < main_rows.size(); ++n)
+        w.beginObject().key("backends").number(n + 1)
+            .key("cells").numbers(main_rows[n], 1).end();
+    w.end().key("fanout_ablation").beginObject()
+        .key("structure").string("BPT")
+        .key("parallel").numbers(par_series, 1)
+        .key("serial").numbers(ser_series, 1).end();
+    w.close();
 }
 
 void

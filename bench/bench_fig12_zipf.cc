@@ -28,19 +28,9 @@ runAtSkew(KeyDist dist, double theta)
     DS ds;
     if (!ok(DS::create(s, 1, "z", &ds)))
         return -1;
-    WorkloadConfig wcfg;
-    wcfg.key_space = kPreload;
-    wcfg.seed = 42;
-    preloadKeys(s, ds, wcfg, kPreload);
-    s.resetStats();
-    WorkloadConfig mcfg = wcfg;
-    mcfg.put_ratio = 0.5;
-    mcfg.dist = dist;
-    mcfg.zipf_theta = theta;
-    mcfg.seed = 99;
-    Workload w(mcfg);
-    const auto ops = w.generate(kOps);
-    return runKvWorkload(s, ds, ops).kops();
+    return preloadThenRunKops(
+        s, ds, kPreload, kOps,
+        {.put_ratio = 0.5, .dist = dist, .zipf_theta = theta});
 }
 
 void

@@ -50,19 +50,10 @@ runMix(Mode mode, double put_ratio)
         st = DS::create(s, 1, "m", &ds);
     if (!ok(st))
         return -1;
-    WorkloadConfig wcfg;
-    wcfg.key_space = kPreload;
-    wcfg.seed = 42;
-    preloadKeys(s, ds, wcfg, kPreload);
-    s.resetStats();
-    WorkloadConfig mcfg = wcfg;
-    mcfg.put_ratio = put_ratio;
-    mcfg.dist = KeyDist::Zipf; // industry traces are power-law
-    mcfg.zipf_theta = 0.9;
-    mcfg.seed = 99;
-    Workload w(mcfg);
-    const auto ops = w.generate(kOps);
-    return runKvWorkload(s, ds, ops).kops();
+    // Zipf: industry traces are power-law.
+    return preloadThenRunKops(
+        s, ds, kPreload, kOps,
+        {.put_ratio = put_ratio, .dist = KeyDist::Zipf, .zipf_theta = 0.9});
 }
 
 /** Queue/stack mixes: push ratio instead of put ratio. */

@@ -46,19 +46,10 @@ runAtCache(double pct)
         st = DS::create(s, 1, "c", &ds);
     if (!ok(st))
         return -1;
-    WorkloadConfig wcfg;
-    wcfg.key_space = kPreload;
-    wcfg.seed = 42;
-    preloadKeys(s, ds, wcfg, kPreload);
-    s.resetStats();
-    WorkloadConfig mcfg = wcfg;
-    mcfg.put_ratio = 0.5;
-    mcfg.dist = KeyDist::Zipf; // skew gives the cache hot data to keep
-    mcfg.zipf_theta = 0.9;
-    mcfg.seed = 99;
-    Workload w(mcfg);
-    const auto ops = w.generate(kOps);
-    return runKvWorkload(s, ds, ops).kops();
+    // Zipf: skew gives the cache hot data to keep.
+    return preloadThenRunKops(
+        s, ds, kPreload, kOps,
+        {.put_ratio = 0.5, .dist = KeyDist::Zipf, .zipf_theta = 0.9});
 }
 
 double
@@ -217,49 +208,34 @@ runBptColdLookup(bool prefetch_on)
  */
 void
 writeJson(const std::vector<std::vector<double>> &main_rows,
-          const double *pcts, size_t npcts, double lru_adaptive,
-          double lru_native, const PrefetchAblation &pf_on,
-          const PrefetchAblation &pf_off, const char *path)
+          const double *pcts, double lru_adaptive, double lru_native,
+          const PrefetchAblation &pf_on, const PrefetchAblation &pf_off,
+          const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig7_cache\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tiny\": %s},\n",
-                 kPreload, kOps, benchTiny() ? "true" : "false");
     static constexpr const char *kCols[] = {
         "BPT", "BST", "SkipList", "TATP",
         "MV-BPT", "MV-BST", "HashTable", "SmallBank"};
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kCols); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kCols[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
-    for (size_t n = 0; n < main_rows.size(); ++n) {
-        std::fprintf(f, "    {\"cache_pct\": %.0f, \"cells\": [",
-                     pcts[n] * 100);
-        for (size_t i = 0; i < main_rows[n].size(); ++i)
-            std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ",
-                         main_rows[n][i]);
-        std::fprintf(f, "]}%s\n",
-                     n + 1 == main_rows.size() ? "" : ",");
-    }
-    (void)npcts;
-    std::fprintf(f, "  ],\n  \"lru_ablation\": {\"structure\": \"BPT\", "
-                    "\"adaptive\": %.1f, \"native_lru\": %.1f},\n",
-                 lru_adaptive, lru_native);
-    std::fprintf(f, "  \"prefetch_ablation\": {\"structure\": \"BPT\", "
-                    "\"unit\": \"ns/op\", \"prefetch_on\": %.1f, "
-                    "\"prefetch_off\": %.1f, \"doorbells_on\": %" PRIu64
-                    ", \"doorbells_off\": %" PRIu64 ", \"issued\": %" PRIu64
-                    ", \"hits\": %" PRIu64 ", \"wasted\": %" PRIu64 "}\n}\n",
-                 pf_on.ns_per_op, pf_off.ns_per_op, pf_on.doorbells,
-                 pf_off.doorbells, pf_on.issued, pf_on.hits, pf_on.wasted);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    JsonWriter w(path);
+    w.key("bench").string("fig7_cache").key("unit").string("kops");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("ops").number(kOps).key("tiny").boolean(benchTiny()).end();
+    w.key("columns").strings(kCols).key("rows").beginArray();
+    for (size_t n = 0; n < main_rows.size(); ++n)
+        w.beginObject().key("cache_pct").number(pcts[n] * 100, 0)
+            .key("cells").numbers(main_rows[n], 1).end();
+    w.end().key("lru_ablation").beginObject()
+        .key("structure").string("BPT")
+        .key("adaptive").number(lru_adaptive, 1)
+        .key("native_lru").number(lru_native, 1).end();
+    w.key("prefetch_ablation").beginObject()
+        .key("structure").string("BPT").key("unit").string("ns/op")
+        .key("prefetch_on").number(pf_on.ns_per_op, 1)
+        .key("prefetch_off").number(pf_off.ns_per_op, 1)
+        .key("doorbells_on").number(pf_on.doorbells)
+        .key("doorbells_off").number(pf_off.doorbells)
+        .key("issued").number(pf_on.issued).key("hits").number(pf_on.hits)
+        .key("wasted").number(pf_on.wasted).end();
+    w.close();
 }
 
 void
@@ -317,8 +293,8 @@ run()
                 "data stays in front-end memory);\nnative LRU trails the "
                 "level-aware policy by ~38%% on BPT.\n");
 
-    writeJson(main_rows, pcts, std::size(pcts), lru_adaptive, lru_native,
-              pf_on, pf_off, "BENCH_fig7_cache.json");
+    writeJson(main_rows, pcts, lru_adaptive, lru_native, pf_on, pf_off,
+              "BENCH_fig7_cache.json");
 }
 
 } // namespace

@@ -162,48 +162,33 @@ writeJson(const std::vector<const char *> &names,
           const std::vector<RunResult> &pf_on,
           const std::vector<RunResult> &pf_off, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig8_readers\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"writer_ops\": %" PRIu64 ", \"reader_ops\": %" PRIu64
-                    ", \"tiny\": %s},\n",
-                 kPreload, kWriterOps, kReaderOps,
-                 benchTiny() ? "true" : "false");
-    std::fprintf(f, "  \"series\": [\n");
+    JsonWriter w(path);
+    w.key("bench").string("fig8_readers").key("unit").string("kops");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("writer_ops").number(kWriterOps)
+        .key("reader_ops").number(kReaderOps)
+        .key("tiny").boolean(benchTiny()).end();
+    w.key("series").beginArray();
     for (size_t s = 0; s < names.size(); ++s) {
-        std::fprintf(f, "    {\"structure\": \"%s\", \"rows\": [\n",
-                     names[s]);
+        w.beginObject().key("structure").string(names[s]);
+        w.key("rows").beginArray();
         for (size_t n = 0; n < series_rows[s].size(); ++n) {
             const RunResult &r = series_rows[s][n];
-            std::fprintf(f,
-                         "      {\"readers\": %zu, \"writer\": %.1f, "
-                         "\"readers_total\": %.1f, \"retry_ratio\": "
-                         "%.4f}%s\n",
-                         n + 1, r.writer_kops, r.reader_total_kops,
-                         r.retry_ratio,
-                         n + 1 == series_rows[s].size() ? "" : ",");
+            w.beginObject().key("readers").number(n + 1)
+                .key("writer").number(r.writer_kops, 1)
+                .key("readers_total").number(r.reader_total_kops, 1)
+                .key("retry_ratio").number(r.retry_ratio, 4).end();
         }
-        std::fprintf(f, "    ]}%s\n",
-                     s + 1 == names.size() ? "" : ",");
+        w.end().end();
     }
-    std::fprintf(f, "  ],\n  \"prefetch_ablation\": {\"structure\": "
-                    "\"BPT\", \"rows\": [\n");
-    for (size_t n = 0; n < pf_on.size(); ++n) {
-        std::fprintf(f,
-                     "    {\"readers\": %zu, \"readers_total_on\": %.1f, "
-                     "\"readers_total_off\": %.1f}%s\n",
-                     n + 1, pf_on[n].reader_total_kops,
-                     pf_off[n].reader_total_kops,
-                     n + 1 == pf_on.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]}\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    w.end().key("prefetch_ablation").beginObject()
+        .key("structure").string("BPT").key("rows").beginArray();
+    for (size_t n = 0; n < pf_on.size(); ++n)
+        w.beginObject().key("readers").number(n + 1)
+            .key("readers_total_on").number(pf_on[n].reader_total_kops, 1)
+            .key("readers_total_off").number(pf_off[n].reader_total_kops, 1)
+            .end();
+    w.end().end().close();
 }
 
 void

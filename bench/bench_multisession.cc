@@ -299,41 +299,27 @@ void
 writeJson(const std::vector<SweepPoint> &sweep,
           const std::vector<FrontierPoint> &frontier, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"multisession\",\n"
-                    "  \"unit\": \"kops\",\n  \"points\": [\n");
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        const SweepPoint &p = sweep[i];
-        std::fprintf(
-            f,
-            "    {\"mode\": \"%s\", \"sessions\": %u, "
-            "\"agg_kops\": %.1f, \"p50_ns\": %" PRIu64 ", "
-            "\"p99_ns\": %" PRIu64 ", \"p999_ns\": %" PRIu64 ", "
-            "\"worst_session_p99_ns\": %" PRIu64 ", "
-            "\"merged_pct\": %.1f}%s\n",
-            nicModeName(p.mode), p.sessions, p.agg_kops, p.p50_ns,
-            p.p99_ns, p.p999_ns, p.worst_p99_ns, p.merged_pct,
-            i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"frontier\": [\n");
-    for (size_t i = 0; i < frontier.size(); ++i) {
-        const FrontierPoint &p = frontier[i];
-        std::fprintf(
-            f,
-            "    {\"bg_share_pct\": %u, \"bg_wqes_per_round\": %" PRIu64
-            ", \"fg_p50_ns\": %" PRIu64 ", \"fg_p99_ns\": %" PRIu64 ", "
-            "\"fg_kops\": %.1f, \"bg_mbps\": %.2f, "
-            "\"bg_throttle_us\": %.1f}%s\n",
-            p.bg_share_pct, p.bg_wqes_per_round, p.fg_p50_ns, p.fg_p99_ns,
-            p.fg_kops, p.bg_mbps, p.bg_throttle_us,
-            i + 1 < frontier.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    JsonWriter w(path);
+    w.key("bench").string("multisession").key("unit").string("kops");
+    w.key("points").beginArray();
+    for (const SweepPoint &p : sweep)
+        w.beginObject().key("mode").string(nicModeName(p.mode))
+            .key("sessions").number(p.sessions)
+            .key("agg_kops").number(p.agg_kops, 1)
+            .key("p50_ns").number(p.p50_ns).key("p99_ns").number(p.p99_ns)
+            .key("p999_ns").number(p.p999_ns)
+            .key("worst_session_p99_ns").number(p.worst_p99_ns)
+            .key("merged_pct").number(p.merged_pct, 1).end();
+    w.end().key("frontier").beginArray();
+    for (const FrontierPoint &p : frontier)
+        w.beginObject().key("bg_share_pct").number(p.bg_share_pct)
+            .key("bg_wqes_per_round").number(p.bg_wqes_per_round)
+            .key("fg_p50_ns").number(p.fg_p50_ns)
+            .key("fg_p99_ns").number(p.fg_p99_ns)
+            .key("fg_kops").number(p.fg_kops, 1)
+            .key("bg_mbps").number(p.bg_mbps, 2)
+            .key("bg_throttle_us").number(p.bg_throttle_us, 1).end();
+    w.end().close(/*announce=*/false);
 }
 
 void

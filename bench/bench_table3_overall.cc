@@ -198,35 +198,20 @@ void
 writeJson(const Mode *modes, size_t nmodes,
           const std::vector<std::vector<double>> &rows, const char *path)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path);
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"table3_overall\",\n"
-                    "  \"unit\": \"kops\",\n"
-                    "  \"params\": {\"preload\": %" PRIu64
-                    ", \"ops\": %" PRIu64 ", \"tx_ops\": %" PRIu64
-                    ", \"tiny\": %s},\n",
-                 kPreload, kOps, kTxOps, benchTiny() ? "true" : "false");
-    std::fprintf(f, "  \"columns\": [");
-    for (size_t i = 0; i < std::size(kColumns); ++i)
-        std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ", kColumns[i]);
-    std::fprintf(f, "],\n  \"rows\": [\n");
+    JsonWriter w(path);
+    w.key("bench").string("table3_overall").key("unit").string("kops");
+    w.key("params").beginObject().key("preload").number(kPreload)
+        .key("ops").number(kOps).key("tx_ops").number(kTxOps)
+        .key("tiny").boolean(benchTiny()).end();
+    w.key("columns").strings(kColumns).key("rows").beginArray();
     for (size_t m = 0; m < nmodes; ++m) {
-        std::fprintf(f, "    {\"system\": \"%s\", \"cells\": [",
-                     modeName(modes[m]));
-        for (size_t i = 0; i < rows[m].size(); ++i) {
-            if (rows[m][i] < 0)
-                std::fprintf(f, "%snull", i == 0 ? "" : ", ");
-            else
-                std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", rows[m][i]);
-        }
-        std::fprintf(f, "]}%s\n", m + 1 == nmodes ? "" : ",");
+        w.beginObject().key("system").string(modeName(modes[m]));
+        w.key("cells").beginArray();
+        for (const double cell : rows[m])
+            cell < 0 ? w.null() : w.number(cell, 1);
+        w.end().end();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", path);
+    w.end().close();
 }
 
 void

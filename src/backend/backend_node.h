@@ -134,12 +134,6 @@ class BackendNode
      */
     void flushReplication();
 
-    /** Retry/backoff knobs for transient-faulted replication transfers. */
-    void setReplicationRetryPolicy(const RetryPolicy &p)
-    {
-        repl_retry_ = p;
-    }
-
     /** Replication batching counters (batches, persists, coalescing). */
     const ReplicationStats &replicationStats() const { return repl_stats_; }
 

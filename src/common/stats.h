@@ -216,12 +216,6 @@ struct PrefetchStats
     uint64_t issued = 0;  //!< speculative read WQEs issued
     uint64_t hits = 0;    //!< speculative entries promoted by a real hit
     uint64_t wasted = 0;  //!< dropped/evicted before any hit
-
-    double hitRatio() const
-    {
-        return issued == 0 ? 0.0
-                           : static_cast<double>(hits) / issued;
-    }
 };
 
 /**

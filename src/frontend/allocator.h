@@ -20,8 +20,8 @@
  * re-allocates; a fixed keep level turns that cycle into a
  * FreeBlocks/AllocBlocks RPC ping-pong with the back-end — the dominant
  * RPC traffic of the MV benches before this was measured. The window is
- * configurable (SessionConfig::alloc_hysteresis_cycles, default 2)
- * because the demand peak must stay inside it: a workload oscillating
+ * a constructor parameter (`hysteresis_cycles`; sessions use the default
+ * 2) because the demand peak must stay inside it: a workload oscillating
  * with a period of k cycles needs a window >= k or the heavy cycle's
  * demand rotates out during the quiet ones and the ping-pong reappears.
  * When demand collapses for good, the keep level follows it down within

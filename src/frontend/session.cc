@@ -115,7 +115,7 @@ FrontendSession::connect(BackendNode *backend)
                                    uint64_t r[4]) {
             return rpcCall(backends_.at(id), op, a, p, r);
         },
-        /*reclaim_threshold=*/32, cfg_.alloc_hysteresis_cycles);
+        /*reclaim_threshold=*/32);
 
     // Fetch the persisted log positions (one-sided read of the control
     // block), which restores the shadows after a reconnect.
@@ -366,12 +366,27 @@ FrontendSession::collectSpeculation(
 }
 
 void
+FrontendSession::postSpeculation()
+{
+    if (prefetch_bufs_.size() < spec_reads_.size())
+        prefetch_bufs_.resize(spec_reads_.size());
+    size_t nspec = 0;
+    for (const SpecRead &sp : spec_reads_) {
+        prefetch_bufs_[nspec].resize(sp.len);
+        if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
+                               prefetch_bufs_[nspec].data(), sp.len)))
+            spec_reads_[nspec++] = sp;
+    }
+    spec_reads_.resize(nspec);
+}
+
+void
 FrontendSession::admitSpeculation(uint64_t issue_epoch)
 {
     if (spec_reads_.empty())
         return;
-    ++prefetch_batches_;
-    prefetch_issued_ += spec_reads_.size();
+    ++stats_.prefetch.batches;
+    stats_.prefetch.issued += spec_reads_.size();
     for (size_t i = 0; i < spec_reads_.size(); ++i) {
         const SpecRead &sp = spec_reads_[i];
         const RemotePtr p = RemotePtr::fromRaw(sp.addr_raw);
@@ -410,17 +425,15 @@ FrontendSession::remoteReadWithPrefetch(ReadAwaitable &aw)
     if (spec_reads_.empty())
         return verbs_.read(aw.addr, aw.dst, aw.len);
 
-    if (prefetch_bufs_.size() < spec_reads_.size())
-        prefetch_bufs_.resize(spec_reads_.size());
     // Epoch snapshot BEFORE the gather: an invalidateDs that lands while
     // the chain is in flight must outrank the fetched bytes.
     const uint64_t issue_epoch = cache_->epochNow();
-    verbs_.postRead(aw.addr, aw.dst, aw.len);
-    for (size_t i = 0; i < spec_reads_.size(); ++i) {
-        prefetch_bufs_[i].resize(spec_reads_[i].len);
-        verbs_.postRead(RemotePtr::fromRaw(spec_reads_[i].addr_raw),
-                        prefetch_bufs_[i].data(), spec_reads_[i].len);
-    }
+    // A demanded read that cannot post (back-end not attached) fails
+    // here: gathering the empty chain would report Ok with dst untouched.
+    const Status pst = verbs_.postRead(aw.addr, aw.dst, aw.len);
+    if (!ok(pst))
+        return pst;
+    postSpeculation();
     const Status st = verbs_.readGather();
     if (st == Status::InvalidArgument) {
         // A learned candidate fell outside the target (stale prediction
@@ -511,10 +524,10 @@ FrontendSession::serveBatchRound()
     if (remote.empty())
         return; // everything was served locally: not a gather round
     round = std::move(remote);
-    ++pipe_rounds_;
+    ++stats_.pipeline.rounds;
     if (round.size() <= 1)
-        ++pipe_solo_rounds_; // nothing to overlap with: a pipeline stall
-    pipe_batched_reads_ += round.size();
+        ++stats_.pipeline.solo_rounds; // nothing to overlap: a stall
+    stats_.pipeline.batched_reads += round.size();
     const uint64_t t0 = clock_.now();
 
     // Dedupe demanded addresses across ops: the first op fetches, the
@@ -556,16 +569,7 @@ FrontendSession::serveBatchRound()
         else
             aw->result = pst;
     }
-    if (prefetch_bufs_.size() < spec_reads_.size())
-        prefetch_bufs_.resize(spec_reads_.size());
-    size_t nspec = 0;
-    for (const SpecRead &sp : spec_reads_) {
-        prefetch_bufs_[nspec].resize(sp.len);
-        if (ok(verbs_.postRead(RemotePtr::fromRaw(sp.addr_raw),
-                               prefetch_bufs_[nspec].data(), sp.len)))
-            spec_reads_[nspec++] = sp;
-    }
-    spec_reads_.resize(nspec);
+    postSpeculation();
     verbs_.tagGatherOps(posted.size());
     Status st = verbs_.readGather();
     if (st == Status::InvalidArgument && !spec_reads_.empty()) {
@@ -632,7 +636,7 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
         return;
     }
     pipeline_active_ = true;
-    ++pipe_runs_;
+    ++stats_.pipeline.runs;
     std::vector<size_t> window; // in-flight (suspended) op indices
     window.reserve(depth);
     size_t next = 0;
@@ -641,7 +645,7 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
         ops[i].resume();
         if (ops[i].done()) {
             results[i] = ops[i].status();
-            ++pipe_ops_;
+            ++stats_.pipeline.ops;
             return false;
         }
         return true;
@@ -655,8 +659,8 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
     };
     admit();
     while (!window.empty()) {
-        pipe_max_in_flight_ =
-            std::max<uint64_t>(pipe_max_in_flight_, window.size());
+        stats_.pipeline.max_in_flight = std::max<uint64_t>(
+            stats_.pipeline.max_in_flight, window.size());
         // Every in-flight op is parked on exactly one demanded read:
         // serve them all as one gather wave, then resume each op, which
         // either finishes, re-parks at its next hop, or frees a window
@@ -683,7 +687,7 @@ FrontendSession::executePipelined(std::span<OpTask> ops,
         // commit fences every posted op-log/memlog chain at window
         // drain (composing with — not fighting — doorbell batching).
         pipeline_commit_deferred_ = false;
-        ++pipe_deferred_commits_;
+        ++stats_.pipeline.deferred_commits;
         (void)flushAll();
     }
 }
@@ -709,7 +713,7 @@ FrontendSession::WindowGate::tryAcquire()
         // One dependency stall per wait episode, however many service
         // rounds the waiter sleeps through.
         stalled_ = true;
-        ++s_->pipe_dep_stalls_;
+        ++s_->stats_.pipeline.dep_stalls;
     }
     return false;
 }
@@ -870,7 +874,7 @@ Status
 FrontendSession::opBegin(DsId ds, NodeId backend, OpType op, Key key,
                          const void *value, uint32_t val_len)
 {
-    ++ops_started_;
+    ++stats_.ops_started;
     in_op_ = false; // a previous op may have aborted without opEnd
     clock_.advance(lat_.cpu_op_overhead_ns);
     if (cfg_.symmetric || !cfg_.use_oplog) {
@@ -898,11 +902,11 @@ FrontendSession::opBegin(DsId ds, NodeId backend, OpType op, Key key,
             return ast;
         if (!sync && pipeline_active_) {
             pipeline_posted_ops_ = true;
-            ++pipe_batched_appends_; // rode the WQE chain, not a fence
+            ++stats_.pipeline.batched_appends; // rode the chain, unfenced
         }
-        logfmt_.op_records += 1;
-        logfmt_.op_wire_bytes += rec.size();
-        logfmt_.op_payload_bytes += val_len;
+        stats_.logfmt.op_records += 1;
+        stats_.logfmt.op_wire_bytes += rec.size();
+        stats_.logfmt.op_payload_bytes += val_len;
         c->last_oplog_len = val_len;
         c->opn += 1;
         return Status::Ok;
@@ -996,7 +1000,7 @@ FrontendSession::opEnd()
             // group commit to the window drain, where ONE flush fences
             // every pipelined op's posted chain together.
             pipeline_commit_deferred_ = true;
-            ++pipe_coalesced_fences_; // this op's fence moved to drain
+            ++stats_.pipeline.coalesced_fences; // fence moved to drain
             processLocalRetired();
             return Status::Ok;
         }
@@ -1068,10 +1072,10 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     if (!ok(bst))
         return bst;
     c.lpn += 1;
-    ++tx_flushes_;
-    logfmt_.tx_records += 1;
-    logfmt_.tx_wire_bytes += tx.size();
-    logfmt_.tx_payload_bytes += payload_bytes;
+    ++stats_.tx_flushes;
+    stats_.logfmt.tx_records += 1;
+    stats_.logfmt.tx_wire_bytes += tx.size();
+    stats_.logfmt.tx_payload_bytes += payload_bytes;
     return Status::Ok;
 }
 
@@ -1795,7 +1799,7 @@ FrontendSession::handleBackendFailure(NodeId id)
             if (ok(st)) {
                 if (BackendCtx *c = ctx(id); c != nullptr)
                     c->epoch = out.epoch;
-                ++failovers_completed_;
+                ++stats_.retry.failovers;
                 result = Status::Ok;
                 break;
             }
@@ -1805,7 +1809,7 @@ FrontendSession::handleBackendFailure(NodeId id)
         // mirror must not be promoted while the old incarnation might
         // still serve writes) — burn a quantum of virtual time.
         clock_.advance(fo_cfg_.wait_quantum_ns);
-        failover_wait_ns_ += fo_cfg_.wait_quantum_ns;
+        stats_.retry.failover_wait_ns += fo_cfg_.wait_quantum_ns;
     }
     in_failover_ = false;
     return result;
@@ -1850,7 +1854,7 @@ FrontendSession::tryHeal(NodeId id)
     if (!ok(st))
         return Status::Unavailable;
     c->epoch = out.epoch;
-    ++failovers_completed_;
+    ++stats_.retry.failovers;
     return Status::Ok;
 }
 
@@ -1871,29 +1875,15 @@ FrontendSession::backendEpoch(NodeId id) const
 SessionStats
 FrontendSession::stats() const
 {
-    SessionStats s;
-    s.ops_started = ops_started_;
-    s.tx_flushes = tx_flushes_;
+    // stats_ holds every counter the session increments itself; only
+    // what other layers own is folded in at snapshot time.
+    SessionStats s = stats_;
     s.verbs = verbs_.counters();
     s.retry = verbs_.retryStats();
-    s.prefetch.batches = prefetch_batches_;
-    s.prefetch.issued = prefetch_issued_;
+    s.retry.merge(stats_.retry); // failovers and their lease waits
     s.prefetch.hits = cache_->prefetchHits();
     s.prefetch.wasted = cache_->prefetchWasted();
-    s.logfmt = logfmt_;
     s.pipeline.depth = cfg_.pipeline_depth;
-    s.pipeline.ops = pipe_ops_;
-    s.pipeline.runs = pipe_runs_;
-    s.pipeline.rounds = pipe_rounds_;
-    s.pipeline.batched_reads = pipe_batched_reads_;
-    s.pipeline.solo_rounds = pipe_solo_rounds_;
-    s.pipeline.max_in_flight = pipe_max_in_flight_;
-    s.pipeline.deferred_commits = pipe_deferred_commits_;
-    s.pipeline.batched_appends = pipe_batched_appends_;
-    s.pipeline.coalesced_fences = pipe_coalesced_fences_;
-    s.pipeline.dep_stalls = pipe_dep_stalls_;
-    s.retry.failovers += failovers_completed_;
-    s.retry.failover_wait_ns += failover_wait_ns_;
     for (const auto &[id, pc] : promo_) {
         s.retry.promotions_won += pc.promotions_won;
         s.retry.promotions_lost += pc.promotions_lost;
@@ -1911,26 +1901,10 @@ FrontendSession::stats() const
 void
 FrontendSession::resetStats()
 {
-    ops_started_ = 0;
-    tx_flushes_ = 0;
-    logfmt_ = LogFormatStats{};
-    failovers_completed_ = 0;
-    failover_wait_ns_ = 0;
+    stats_ = {};
     promo_.clear();
     verbs_.resetStats();
     cache_->resetStats();
-    prefetch_batches_ = 0;
-    prefetch_issued_ = 0;
-    pipe_ops_ = 0;
-    pipe_runs_ = 0;
-    pipe_rounds_ = 0;
-    pipe_batched_reads_ = 0;
-    pipe_solo_rounds_ = 0;
-    pipe_max_in_flight_ = 0;
-    pipe_deferred_commits_ = 0;
-    pipe_batched_appends_ = 0;
-    pipe_coalesced_fences_ = 0;
-    pipe_dep_stalls_ = 0;
     hist_commit_ = Histogram{};
     hist_fanout_ = Histogram{};
     hist_read_remote_ = Histogram{};

@@ -119,14 +119,6 @@ struct SessionConfig
      * bit-identical wire traffic to a non-pipelined session.
      */
     uint32_t pipeline_depth = 1;
-    /**
-     * Allocator reclaim hysteresis: FreeBlocks returns empty slabs to
-     * the back-end only beyond the peak demand of the last this-many
-     * alloc/free cycles (see FrontendAllocator::maybeReclaim). Raise it
-     * when a workload's alloc/free oscillation period exceeds two cycles
-     * and the FreeBlocks/AllocBlocks RPC ping-pong reappears.
-     */
-    uint32_t alloc_hysteresis_cycles = 2;
     uint64_t rng_seed = 99;
 
     /** AsymNVM-Naive: direct remote reads/writes, no logs/cache/batch. */
@@ -459,7 +451,7 @@ class FrontendSession
     }
 
     /** Account a validation-forced descent restart (a dependency stall). */
-    void notePipelineRestart() { ++pipe_dep_stalls_; }
+    void notePipelineRestart() { ++stats_.pipeline.dep_stalls; }
 
     /**
      * Snapshot of the current operation's op-log record position, taken
@@ -724,9 +716,9 @@ class FrontendSession
     // Statistics
     // ------------------------------------------------------------------
 
-    uint64_t opsStarted() const { return ops_started_; }
-    uint64_t txFlushes() const { return tx_flushes_; }
-    uint64_t failoversCompleted() const { return failovers_completed_; }
+    uint64_t opsStarted() const { return stats_.ops_started; }
+    uint64_t txFlushes() const { return stats_.tx_flushes; }
+    uint64_t failoversCompleted() const { return stats_.retry.failovers; }
 
     /** Virtual-time latency of each group commit (flushAll / opEnd). */
     const Histogram &commitHistogram() const { return hist_commit_; }
@@ -755,9 +747,6 @@ class FrontendSession
     size_t seqlockObservations() const { return sn_seen_.size(); }
     uint64_t busyNs() const { return clock_.now(); }
     void resetStats();
-
-    /** Pinned (batch-local) reads are dropped at every group commit. */
-    void dropPins() { pinned_.clear(); }
 
   private:
     struct BackendCtx
@@ -874,6 +863,10 @@ class FrontendSession
     void collectSpeculation(const ReadAwaitable &aw,
                             std::span<ReadAwaitable *const> demanded);
 
+    /** Post spec_reads_ onto the read chains, landing in prefetch_bufs_,
+     *  and keep only the reads that posted. */
+    void postSpeculation();
+
     /** Park the gathered spec_reads_ (landed in prefetch_bufs_) in the
      *  cache as speculative entries stamped with @p issue_epoch. */
     void admitSpeculation(uint64_t issue_epoch);
@@ -978,9 +971,13 @@ class FrontendSession
     std::deque<RetiredRegion> local_retired_;
 
     uint32_t ops_in_batch_ = 0;
-    uint64_t ops_started_ = 0;
-    uint64_t tx_flushes_ = 0;
-    LogFormatStats logfmt_;
+    /**
+     * Counters the session increments itself, stored where stats()
+     * reports them. Fields other layers own (verb traffic and retries,
+     * cache prefetch outcomes, promotion races, RPC resends) and
+     * pipeline.depth stay zero here and are filled in at snapshot time.
+     */
+    SessionStats stats_;
 
     // Transparent-failover state.
     BackendResolver resolver_;
@@ -988,8 +985,6 @@ class FrontendSession
     bool in_failover_ = false; //!< guards re-entry from recovery's flush
     bool in_op_ = false;       //!< between opBegin and opEnd
     NodeId last_failed_node_ = 0; //!< set when a flush fails
-    uint64_t failovers_completed_ = 0;
-    uint64_t failover_wait_ns_ = 0;
     std::map<NodeId, PromotionCounters> promo_; //!< race outcomes
 
     // Per-path latency observability (virtual ns).
@@ -1011,8 +1006,6 @@ class FrontendSession
     std::vector<PrefetchCandidate> prefetch_scratch_; //!< collect() reuse
     std::vector<SpecRead> spec_reads_; //!< this miss's / round's speculation
     std::vector<std::vector<uint8_t>> prefetch_bufs_; //!< gather landing
-    uint64_t prefetch_batches_ = 0; //!< gathers that carried speculation
-    uint64_t prefetch_issued_ = 0;  //!< speculative WQEs issued
 
     // Pipelined-operation reactor state (executePipelined).
     bool pipeline_active_ = false; //!< reactor owns scheduling
@@ -1025,18 +1018,6 @@ class FrontendSession
     /** Set when a pipelined opEnd hit its batch boundary: the commit is
      *  coalesced into one flushAll at window drain. */
     bool pipeline_commit_deferred_ = false;
-    uint64_t pipe_ops_ = 0;          //!< ops completed via the reactor
-    uint64_t pipe_runs_ = 0;         //!< executePipelined calls (depth>1)
-    uint64_t pipe_rounds_ = 0;       //!< gather service rounds
-    uint64_t pipe_batched_reads_ = 0; //!< demanded reads served in rounds
-    uint64_t pipe_solo_rounds_ = 0;  //!< rounds with <= 1 pending read
-    uint64_t pipe_max_in_flight_ = 0; //!< peak suspended ops
-    uint64_t pipe_deferred_commits_ = 0; //!< fences coalesced to drain
-    uint64_t pipe_batched_appends_ = 0;  //!< op-log appends ridden on
-                                         //!< posted WQE chains
-    uint64_t pipe_coalesced_fences_ = 0; //!< per-op fences absorbed into
-                                         //!< the drain flushAll
-    uint64_t pipe_dep_stalls_ = 0; //!< gate waits + validation restarts
 
     // Write-pipelining window state (cleared at every drain).
     /** Monotone sequence bumped by every window write (logWrite/free). */
@@ -1060,6 +1041,7 @@ class FrontendSession
     std::unique_ptr<NvmDevice> sym_replica_;
     std::unique_ptr<NicModel> sym_nic_;
     uint64_t sym_log_head_ = 0; //!< monotonic ship position in the ring
+
 };
 
 } // namespace asymnvm

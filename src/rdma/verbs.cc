@@ -94,7 +94,6 @@ Verbs::charge(uint64_t base_rtt, uint64_t payload)
     clock_->advance(base_rtt + lat_->wireBytes(payload));
     ++verbs_issued_;
     ++counters_.doorbells; // every synchronous verb kicks the NIC itself
-    bytes_moved_ += payload;
 }
 
 void
@@ -216,7 +215,6 @@ Verbs::writeAsyncOnce(RemotePtr dst, const void *src, size_t len)
     const Status st = begin(dst.backend, VerbKind::Posted, len, &t);
     clock_->advance(lat_->post_overhead_ns);
     ++verbs_issued_;
-    bytes_moved_ += len;
     ++counters_.posted;
     counters_.posted_bytes += len;
     ++counters_.wqes;
@@ -264,7 +262,6 @@ Verbs::postWriteOnce(RemotePtr dst, const void *src, size_t len)
 
     ++counters_.posted;
     counters_.posted_bytes += len;
-    bytes_moved_ += len;
 
     if (dst.offset + len > t.nvm->size())
         return Status::InvalidArgument;
@@ -434,7 +431,6 @@ Verbs::readGatherOnce(NodeId id, const std::vector<ReadWqe> &wqes)
     counters_.reads += n;
     counters_.read_bytes += total;
     verbs_issued_ += n;
-    bytes_moved_ += total;
 
     if (t.fail != nullptr) {
         for (uint64_t i = 0; i < n; ++i)

@@ -143,8 +143,6 @@ class Verbs
         qp_error_.erase(id);    // so does the error state
     }
 
-    bool isAttached(NodeId id) const { return targets_.count(id) != 0; }
-
     /** RDMA_Read of @p len bytes. */
     Status read(RemotePtr src, void *dst, size_t len);
 
@@ -256,13 +254,6 @@ class Verbs
     /** RDMA fetch-and-add; @p old receives the previous value. */
     Status fetchAdd(RemotePtr dst, uint64_t delta, uint64_t *old);
 
-    /** Replace the retry policy (reseeds the jitter PRNG). */
-    void setRetryPolicy(const RetryPolicy &p)
-    {
-        policy_ = p;
-        rng_ = Rng(p.seed);
-    }
-
     const RetryPolicy &retryPolicy() const { return policy_; }
 
     /**
@@ -278,7 +269,7 @@ class Verbs
     uint64_t verbsIssued() const { return verbs_issued_; }
 
     /** Payload bytes moved by this endpoint. */
-    uint64_t bytesMoved() const { return bytes_moved_; }
+    uint64_t bytesMoved() const { return counters_.totalBytes(); }
 
     /** Per-verb-type traffic breakdown (reads/writes/posted/atomics). */
     const VerbCounters &counters() const { return counters_; }
@@ -289,7 +280,6 @@ class Verbs
     void resetStats()
     {
         verbs_issued_ = 0;
-        bytes_moved_ = 0;
         counters_ = VerbCounters{};
         retry_stats_ = RetryStats{};
     }
@@ -378,7 +368,6 @@ class Verbs
     VerbCounters counters_;
     RetryStats retry_stats_;
     uint64_t verbs_issued_ = 0;
-    uint64_t bytes_moved_ = 0;
     uint64_t qp_id_ = 0; //!< per-session QP identity at the shared NIC
     VerbClass verb_class_ = VerbClass::Foreground; //!< current QoS class
     uint64_t next_gather_ops_ = 1; //!< ops multiplexed by the next gather

@@ -1,7 +1,7 @@
 /**
  * @file
- * Allocator reclaim hysteresis window (SessionConfig::
- * alloc_hysteresis_cycles): a workload oscillating with a period longer
+ * Allocator reclaim hysteresis window (FrontendAllocator's
+ * hysteresis_cycles): a workload oscillating with a period longer
  * than the window ping-pongs slabs through FreeBlocks/AllocBlocks RPCs,
  * while a window covering the period holds the empties across the quiet
  * cycles — and a permanent demand collapse still drains the surplus.

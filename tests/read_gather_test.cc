@@ -297,6 +297,25 @@ TEST(ReadGatherSessionTest, AblationFlagDisablesAllSpeculation)
     EXPECT_EQ(st.verbs.read_gathers, 0u);
 }
 
+TEST(ReadGatherSessionTest, UnattachedBackendFailsAndParksNothing)
+{
+    // A miss at a back-end the session never connected to cannot post
+    // its demanded read: the gather must not report Ok over the empty
+    // chain, and the unposted neighbor's buffer must not reach the cache.
+    BackendNode be(1, testConfig());
+    FrontendSession s(SessionConfig::rc(86, 256 << 10));
+    ASSERT_EQ(s.connect(&be), Status::Ok);
+    const PrefetchCandidate neighbor{RemotePtr(7, 8192).raw(), 64};
+    ReadHint hint;
+    hint.ds = 1;
+    hint.cacheable = true;
+    hint.neighbors = std::span(&neighbor, 1);
+    uint8_t buf[64] = {};
+    EXPECT_EQ(s.read(RemotePtr(7, 4096), buf, sizeof(buf), hint),
+              Status::Unavailable);
+    EXPECT_FALSE(s.cache().contains(RemotePtr(7, 8192), 64));
+}
+
 // ---------------------------------------------------------------------
 // Optimistic reader retry: virtual-time backoff (no host yield).
 // ---------------------------------------------------------------------
