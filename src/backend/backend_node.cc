@@ -40,8 +40,8 @@ BackendNode::BackendNode(NodeId id, const BackendConfig &cfg,
       nic_(lat.nic_verb_service_ns)
 {
     nic_.setQos(cfg_.nic_qos);
-    // Format: the fresh device is zero-filled, so only the superblock
-    // needs explicit initialization.
+    // Format: a fresh device reads as zeros, so only the superblock needs
+    // explicit initialization.
     layout_.super.epoch = 1;
     device_->write(0, &layout_.super, sizeof(SuperBlock));
     device_->persist();
@@ -97,9 +97,7 @@ BackendNode::addMirror(MirrorNode *mirror)
     std::lock_guard lock(mu_);
     // Bring the mirror replica up to date with a full device image; from
     // here on, incremental writes keep it in sync (pre-commit shipping).
-    std::vector<uint8_t> image(device_->size());
-    device_->read(0, image.data(), image.size());
-    mirror->applyWrite(0, image.data(), image.size());
+    mirror->syncFrom(*device_);
     mirrors_.push_back(mirror);
 }
 
@@ -343,9 +341,7 @@ BackendNode::loadVolatileState()
                 pos = ringSkipToWrap(pos, ring);
                 continue;
             }
-            std::vector<uint8_t> buf(contiguous);
-            device_->read(base + off_in_ring, buf.data(), buf.size());
-            auto rec = decodeOpLog({buf.data(), buf.size()});
+            auto rec = readOpLogRecord(base + off_in_ring, contiguous);
             if (!rec.has_value())
                 break; // torn tail; handled by rollTailsForward
             op_window_[s].push_back(
@@ -354,6 +350,21 @@ BackendNode::loadVolatileState()
         }
     }
     allocator_->recover();
+}
+
+std::optional<ParsedOpLog>
+BackendNode::readOpLogRecord(uint64_t abs, uint64_t contiguous) const
+{
+    uint8_t head[std::max(sizeof(OpLogHeader), sizeof(OpLogHeaderC))];
+    const size_t head_len =
+        static_cast<size_t>(std::min<uint64_t>(contiguous, sizeof(head)));
+    device_->read(abs, head, head_len);
+    const std::optional<size_t> wire = opLogWireLen({head, head_len});
+    if (!wire.has_value() || *wire > contiguous)
+        return std::nullopt;
+    std::vector<uint8_t> buf(*wire);
+    device_->read(abs, buf.data(), buf.size());
+    return decodeOpLog({buf.data(), buf.size()});
 }
 
 void
@@ -374,9 +385,7 @@ BackendNode::rollTailsForward()
                 pos = ringSkipToWrap(pos, ring);
                 off_in_ring = pos % ring;
             }
-            std::vector<uint8_t> buf(ring - off_in_ring);
-            device_->read(base + off_in_ring, buf.data(), buf.size());
-            auto rec = decodeOpLog({buf.data(), buf.size()});
+            auto rec = readOpLogRecord(base + off_in_ring, ring - off_in_ring);
             if (!rec.has_value() || rec->opn != c.opn)
                 break;
             const bool was_empty = op_window_[s].empty();

@@ -348,6 +348,12 @@ class BackendNode
     void writeControl(uint32_t slot);
     void loadVolatileState();
     void rollTailsForward();
+    /** Decode the op-log record at device offset @p abs, reading its
+     *  header and then exactly its wire length; nullopt when the record
+     *  does not fit the @p contiguous ring bytes left or does not decode.
+     *  The one record read both recovery scans share. */
+    std::optional<ParsedOpLog> readOpLogRecord(uint64_t abs,
+                                               uint64_t contiguous) const;
     void replayTx(uint32_t slot, const TxParser &tx);
     void processGcLocked(uint64_t now_ns, bool force);
     uint64_t ringReadAbs(uint64_t ring_base, uint64_t ring_size,

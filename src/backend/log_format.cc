@@ -337,27 +337,50 @@ encodeOpLog(OpType op, uint64_t ds_id, uint64_t opn, Key key,
     return buf;
 }
 
-std::optional<ParsedOpLog>
-decodeOpLog(std::span<const uint8_t> bytes)
+std::optional<size_t>
+opLogWireLen(std::span<const uint8_t> head)
 {
-    if (bytes.size() < sizeof(uint32_t))
+    if (head.size() < sizeof(uint32_t))
         return std::nullopt;
     uint32_t magic;
-    std::memcpy(&magic, bytes.data(), sizeof(magic));
+    std::memcpy(&magic, head.data(), sizeof(magic));
     const std::optional<LogFormatKind> kind = opMagicKind(magic);
     if (!kind)
         return std::nullopt;
-
     if (*kind == LogFormatKind::Classic) {
-        if (bytes.size() < sizeof(OpLogHeader) + sizeof(uint32_t))
+        if (head.size() < sizeof(OpLogHeader))
             return std::nullopt;
+        OpLogHeader hdr;
+        std::memcpy(&hdr, head.data(), sizeof(hdr));
+        return sizeof(OpLogHeader) + static_cast<size_t>(hdr.val_len) +
+               sizeof(uint32_t);
+    }
+    if (head.size() < sizeof(OpLogHeaderC))
+        return std::nullopt;
+    OpLogHeaderC hdr;
+    std::memcpy(&hdr, head.data(), sizeof(hdr));
+    const size_t logical =
+        sizeof(OpLogHeaderC) + static_cast<size_t>(hdr.val_len);
+    return *kind == LogFormatKind::HeaderDancing ? logical
+                                                 : zbWireLen(logical);
+}
+
+std::optional<ParsedOpLog>
+decodeOpLog(std::span<const uint8_t> bytes)
+{
+    const std::optional<size_t> wire = opLogWireLen(bytes);
+    if (!wire.has_value() || bytes.size() < *wire)
+        return std::nullopt;
+    uint32_t magic;
+    std::memcpy(&magic, bytes.data(), sizeof(magic));
+    const LogFormatKind kind = *opMagicKind(magic);
+
+    if (kind == LogFormatKind::Classic) {
         OpLogHeader hdr;
         std::memcpy(&hdr, bytes.data(), sizeof(hdr));
         if (hdr.op > kMaxOpTypeByte)
             return std::nullopt;
-        const size_t body = sizeof(OpLogHeader) + hdr.val_len;
-        if (bytes.size() < body + sizeof(uint32_t))
-            return std::nullopt;
+        const size_t body = *wire - sizeof(uint32_t);
         uint32_t crc;
         std::memcpy(&crc, bytes.data() + body, sizeof(crc));
         if (crc != crc32c(bytes.data(), body))
@@ -369,14 +392,12 @@ decodeOpLog(std::span<const uint8_t> bytes)
         out.key = hdr.key;
         out.value.assign(bytes.begin() + sizeof(OpLogHeader),
                          bytes.begin() + body);
-        out.wire_len = body + sizeof(uint32_t);
+        out.wire_len = *wire;
         return out;
     }
 
     // Compact header (the zero-based header is raw-readable: the first
     // presence byte sits at raw offset 63, past the 32 B header).
-    if (bytes.size() < sizeof(OpLogHeaderC))
-        return std::nullopt;
     OpLogHeaderC hdr;
     std::memcpy(&hdr, bytes.data(), sizeof(hdr));
     if (hdr.op > kMaxOpTypeByte)
@@ -386,12 +407,9 @@ decodeOpLog(std::span<const uint8_t> bytes)
     out.ds_id = hdr.ds_id;
     out.opn = hdr.opn;
     out.key = hdr.key;
+    out.wire_len = *wire;
 
-    if (*kind == LogFormatKind::HeaderDancing) {
-        const uint64_t wire =
-            sizeof(OpLogHeaderC) + static_cast<uint64_t>(hdr.val_len);
-        if (bytes.size() < wire)
-            return std::nullopt;
+    if (kind == LogFormatKind::HeaderDancing) {
         const uint32_t saved = hdr.check;
         hdr.check = 0;
         uint32_t crc = crc32c(&hdr, sizeof(hdr));
@@ -400,23 +418,18 @@ decodeOpLog(std::span<const uint8_t> bytes)
         if (crc != saved)
             return std::nullopt;
         out.value.assign(bytes.begin() + sizeof(OpLogHeaderC),
-                         bytes.begin() + wire);
-        out.wire_len = wire;
+                         bytes.begin() + *wire);
         return out;
     }
 
     const uint64_t logical =
         sizeof(OpLogHeaderC) + static_cast<uint64_t>(hdr.val_len);
-    const uint64_t wire = zbWireLen(logical);
-    if (bytes.size() < wire)
-        return std::nullopt;
     std::vector<uint8_t> destuffed;
-    if (!zbDestuff(bytes.first(wire), logical, zbSeed(hdr.opn, hdr.key),
+    if (!zbDestuff(bytes.first(*wire), logical, zbSeed(hdr.opn, hdr.key),
                    &destuffed))
         return std::nullopt;
     out.value.assign(destuffed.begin() + sizeof(OpLogHeaderC),
                      destuffed.end());
-    out.wire_len = wire;
     return out;
 }
 

@@ -401,6 +401,15 @@ struct ParsedOpLog
 std::optional<ParsedOpLog> decodeOpLog(std::span<const uint8_t> bytes);
 
 /**
+ * Wire length of the op-log record whose first bytes are @p head, in any
+ * format (every op-log header is readable raw). Returns std::nullopt on
+ * an unknown magic or when @p head is shorter than that format's header.
+ * Lets a ring scan size its read before decoding; the header may be
+ * torn, so callers must still bounds-check and decode.
+ */
+std::optional<size_t> opLogWireLen(std::span<const uint8_t> head);
+
+/**
  * Copy @p len value bytes starting at value offset @p val_off out of
  * the raw op-log record bytes @p rec (which begin at the record's
  * header; the format is sniffed). Used by the back-end replayer to

@@ -46,16 +46,16 @@ class MirrorNode
     bool hasNvm() const { return has_nvm_; }
 
     /**
-     * Apply one replicated write and persist it immediately. Used for the
-     * full-image synchronization when a mirror attaches; the steady-state
+     * Full-image synchronization when a mirror attaches: the replica
+     * becomes a durable copy of @p primary. Only differing pages move,
+     * but the transfer is accounted as the whole image; the steady-state
      * path is the batched stageWrite/persistBatch pair below.
      */
-    void applyWrite(uint64_t off, const void *src, size_t len)
+    void syncFrom(const NvmDevice &primary)
     {
-        device_->write(off, src, len);
-        device_->persist();
+        device_->syncFrom(primary);
         persists_.add();
-        bytes_replicated_.add(len);
+        bytes_replicated_.add(primary.size());
     }
 
     /**

@@ -1,36 +1,70 @@
 #include "nvm/nvm_device.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace asymnvm {
 
-NvmDevice::NvmDevice(uint64_t size) : mem_(size, 0)
+namespace {
+
+bool
+allZero(const uint8_t *p, size_t len)
+{
+    return p[0] == 0 && std::memcmp(p, p + 1, len - 1) == 0;
+}
+
+} // namespace
+
+NvmDevice::NvmDevice(uint64_t size)
+    : size_(size), touched_((size + kPageSize - 1) / kPageSize)
 {
     if (size < 4096)
         throw std::invalid_argument("NvmDevice: size too small");
+    // Anonymous pages are zero on first touch and cost nothing until then.
+    void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    mem_ = static_cast<uint8_t *>(p);
+}
+
+NvmDevice::~NvmDevice()
+{
+    munmap(mem_, size_);
+}
+
+void
+NvmDevice::touch(uint64_t off, size_t len)
+{
+    if (len == 0)
+        return;
+    for (uint64_t page = off / kPageSize; page <= (off + len - 1) / kPageSize;
+         ++page)
+        touched_[page] = true;
 }
 
 void
 NvmDevice::read(uint64_t off, void *dst, size_t len) const
 {
     std::shared_lock lock(mu_);
-    assert(off + len <= mem_.size());
-    std::memcpy(dst, mem_.data() + off, len);
+    assert(off + len <= size_);
+    std::memcpy(dst, mem_ + off, len);
 }
 
 void
 NvmDevice::write(uint64_t off, const void *src, size_t len)
 {
     std::unique_lock lock(mu_);
-    assert(off + len <= mem_.size());
-    Pending p;
-    p.off = off;
-    p.old_bytes.assign(mem_.begin() + off, mem_.begin() + off + len);
-    pending_.push_back(std::move(p));
-    std::memcpy(mem_.data() + off, src, len);
+    assert(off + len <= size_);
+    pending_.push_back({off, len, undo_.size()});
+    undo_.insert(undo_.end(), mem_ + off, mem_ + off + len);
+    touch(off, len);
+    std::memcpy(mem_ + off, src, len);
     bytes_written_ += len;
 }
 
@@ -46,8 +80,9 @@ void
 NvmDevice::write64Atomic(uint64_t off, uint64_t v)
 {
     std::unique_lock lock(mu_);
-    assert(off + sizeof(v) <= mem_.size());
-    std::memcpy(mem_.data() + off, &v, sizeof(v));
+    assert(off + sizeof(v) <= size_);
+    touch(off, sizeof(v));
+    std::memcpy(mem_ + off, &v, sizeof(v));
     bytes_written_ += sizeof(v);
     // Atomic verbs are immediately durable; no journal entry.
 }
@@ -57,11 +92,12 @@ NvmDevice::compareAndSwap64(uint64_t off, uint64_t expected,
                             uint64_t desired)
 {
     std::unique_lock lock(mu_);
-    assert(off + 8 <= mem_.size());
+    assert(off + 8 <= size_);
     uint64_t cur;
-    std::memcpy(&cur, mem_.data() + off, 8);
+    std::memcpy(&cur, mem_ + off, 8);
     if (cur == expected) {
-        std::memcpy(mem_.data() + off, &desired, 8);
+        touch(off, 8);
+        std::memcpy(mem_ + off, &desired, 8);
         bytes_written_ += 8;
     }
     return cur;
@@ -71,11 +107,12 @@ uint64_t
 NvmDevice::fetchAdd64(uint64_t off, uint64_t delta)
 {
     std::unique_lock lock(mu_);
-    assert(off + 8 <= mem_.size());
+    assert(off + 8 <= size_);
     uint64_t cur;
-    std::memcpy(&cur, mem_.data() + off, 8);
+    std::memcpy(&cur, mem_ + off, 8);
     const uint64_t next = cur + delta;
-    std::memcpy(mem_.data() + off, &next, 8);
+    touch(off, 8);
+    std::memcpy(mem_ + off, &next, 8);
     bytes_written_ += 8;
     return cur;
 }
@@ -85,6 +122,7 @@ NvmDevice::persist()
 {
     std::unique_lock lock(mu_);
     pending_.clear();
+    undo_.clear();
 }
 
 size_t
@@ -105,13 +143,13 @@ NvmDevice::crashPartial(size_t keep_writes)
 {
     std::unique_lock lock(mu_);
     // Roll back in reverse order so overlapping writes restore correctly.
-    while (pending_.size() > keep_writes) {
-        const Pending &p = pending_.back();
-        std::memcpy(mem_.data() + p.off, p.old_bytes.data(),
-                    p.old_bytes.size());
-        pending_.pop_back();
+    for (size_t i = pending_.size(); i > keep_writes; --i) {
+        const Pending &p = pending_[i - 1];
+        std::memcpy(mem_ + p.off, undo_.data() + p.at, p.len);
     }
-    pending_.clear(); // the surviving prefix is now durable
+    // The surviving prefix is now durable.
+    pending_.clear();
+    undo_.clear();
 }
 
 void
@@ -119,19 +157,50 @@ NvmDevice::applyTornWrite(uint64_t off, const void *src, size_t len,
                           size_t keep_bytes)
 {
     std::unique_lock lock(mu_);
-    assert(off + len <= mem_.size());
+    assert(off + len <= size_);
     keep_bytes = std::min(keep_bytes, len);
-    // Stage the full write as the in-flight DMA would...
-    Pending p;
-    p.off = off;
-    p.old_bytes.assign(mem_.begin() + off, mem_.begin() + off + len);
-    std::memcpy(mem_.data() + off, src, len);
-    bytes_written_ += len;
-    // ...then power fails mid-transfer: the tail beyond keep_bytes rolls
-    // back and the surviving prefix is immediately durable (no journal
+    // The in-flight DMA transfers all len bytes, then power fails
+    // mid-transfer: the tail beyond keep_bytes rolls back to the previous
+    // image, so only the prefix lands — immediately durable (no journal
     // entry remains, so a later crash() cannot undo it).
-    std::memcpy(mem_.data() + off + keep_bytes, p.old_bytes.data() + keep_bytes,
-                len - keep_bytes);
+    touch(off, keep_bytes);
+    std::memcpy(mem_ + off, src, keep_bytes);
+    bytes_written_ += len;
+}
+
+void
+NvmDevice::syncFrom(const NvmDevice &src)
+{
+    assert(&src != this);
+    std::shared_lock src_lock(src.mu_, std::defer_lock);
+    std::unique_lock lock(mu_, std::defer_lock);
+    std::lock(src_lock, lock);
+    if (src.size_ != size_)
+        throw std::invalid_argument("NvmDevice::syncFrom: size mismatch");
+    for (uint64_t page = 0; page < touched_.size(); ++page) {
+        const bool src_touched = src.touched_[page];
+        const bool dst_touched = touched_[page];
+        if (!src_touched && !dst_touched)
+            continue; // zero in both images
+        const uint64_t off = page * kPageSize;
+        const size_t len = std::min(kPageSize, size_ - off);
+        uint8_t *dst = mem_ + off;
+        if (!src_touched) {
+            if (!allZero(dst, len))
+                std::memset(dst, 0, len);
+            continue;
+        }
+        const uint8_t *from = src.mem_ + off;
+        const bool differs = dst_touched ? std::memcmp(dst, from, len) != 0
+                                         : !allZero(from, len);
+        if (differs) {
+            touched_[page] = true;
+            std::memcpy(dst, from, len);
+        }
+    }
+    pending_.clear();
+    undo_.clear();
+    bytes_written_ += size_;
 }
 
 } // namespace asymnvm

@@ -17,6 +17,13 @@
  * The device itself charges no virtual time; callers (the verbs layer, the
  * back-end CPU model) account latency so that local and remote access can
  * be priced differently.
+ *
+ * Host cost follows the bytes written, not the capacity: the image is an
+ * anonymous mapping, so construction touches no page and an untouched
+ * page reads as zeros; a per-page bitmap records which pages may hold
+ * non-zero bytes, which lets syncFrom() skip pages both images leave
+ * untouched. The undo journal is one byte arena that keeps its capacity
+ * across persist().
  */
 
 #include <cstdint>
@@ -32,8 +39,12 @@ class NvmDevice
   public:
     /** @param size Capacity in bytes. */
     explicit NvmDevice(uint64_t size);
+    ~NvmDevice();
 
-    uint64_t size() const { return mem_.size(); }
+    NvmDevice(const NvmDevice &) = delete;
+    NvmDevice &operator=(const NvmDevice &) = delete;
+
+    uint64_t size() const { return size_; }
 
     /** Read @p len bytes at @p off into @p dst (sees staged writes). */
     void read(uint64_t off, void *dst, size_t len) const;
@@ -86,17 +97,37 @@ class NvmDevice
     void applyTornWrite(uint64_t off, const void *src, size_t len,
                         size_t keep_bytes);
 
+    /**
+     * Make this device a durable byte-for-byte copy of @p src, another
+     * device of the same size: the full-image transfer of a mirror
+     * attach. Only the 4 KiB pages whose contents differ are copied,
+     * under @p src's shared lock and this device's exclusive lock. Staged
+     * writes become durable and the journal ends empty; bytesWritten()
+     * grows by the full image size, as for a whole-image write.
+     */
+    void syncFrom(const NvmDevice &src);
+
     /** Total bytes written over the device's lifetime (wear statistics). */
     uint64_t bytesWritten() const { return bytes_written_; }
 
   private:
+    static constexpr uint64_t kPageSize = 4096;
+
+    /** One staged write: its pre-image lives at undo_[at, at + len). */
     struct Pending
     {
         uint64_t off;
-        std::vector<uint8_t> old_bytes;
+        uint64_t len;
+        uint64_t at;
     };
 
-    std::vector<uint8_t> mem_;
+    /** Mark every page in [off, off + len) touched. */
+    void touch(uint64_t off, size_t len);
+
+    uint8_t *mem_;
+    uint64_t size_;
+    std::vector<bool> touched_; //!< per page: may hold non-zero bytes
+    std::vector<uint8_t> undo_;     //!< pre-images of the staged writes
     std::vector<Pending> pending_;
     uint64_t bytes_written_ = 0;
     mutable std::shared_mutex mu_;

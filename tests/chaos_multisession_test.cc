@@ -7,7 +7,7 @@
  * ledger — epochs contiguous, exactly one promotion record per epoch,
  * every record won by a known session (or orchestrated by the harness).
  *
- * Seed count per session-count defaults to 200 and is overridable via
+ * Seed count per session-count defaults to 2000 and is overridable via
  * ASYMNVM_CHAOS_SEEDS (the `chaos_multisession_smoke` ctest target runs
  * a short configuration).
  */
@@ -30,7 +30,7 @@ seedCount()
         if (v > 0)
             return static_cast<uint32_t>(v);
     }
-    return 200;
+    return 2000;
 }
 
 TEST(ChaosMultiSessionTest, AllSeedsHoldInvariantsAcrossSessionCounts)

@@ -6,7 +6,7 @@
  * availability violations (no operation fails while a promotable mirror
  * or a restartable node exists).
  *
- * Seed count defaults to 200 and is overridable via ASYMNVM_CHAOS_SEEDS
+ * Seed count defaults to 5000 and is overridable via ASYMNVM_CHAOS_SEEDS
  * (the `chaos_smoke` ctest target runs a short configuration).
  */
 
@@ -28,7 +28,7 @@ seedCount()
         if (v > 0)
             return static_cast<uint32_t>(v);
     }
-    return 200;
+    return 5000;
 }
 
 TEST(ChaosSoakTest, AllSeedsHoldDurabilityAndAvailability)

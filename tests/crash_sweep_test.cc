@@ -42,7 +42,7 @@ sweepBudget()
         if (v > 0)
             return static_cast<uint32_t>(v);
     }
-    return 56;
+    return 2000;
 }
 
 bool

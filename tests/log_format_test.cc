@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -543,6 +544,31 @@ TEST(OpLogTest, ExtractOpLogValueWorksAcrossFormats)
         uint8_t big[80];
         EXPECT_FALSE(extractOpLogValue(rec, 40, sizeof(big), big));
     }
+}
+
+TEST(OpLogTest, WireLenFromHeaderMatchesDecodeAcrossFormats)
+{
+    uint8_t val[200];
+    for (size_t i = 0; i < sizeof(val); ++i)
+        val[i] = static_cast<uint8_t>(i * 3 + 1);
+    for (const LogFormatKind fmt : kAllFormats) {
+        SCOPED_TRACE(logFormatName(fmt));
+        for (const uint32_t len : {0u, 1u, 63u, 64u, 200u}) {
+            const auto rec =
+                encodeOpLog(fmt, OpType::Insert, 3, 11, 42, val, len);
+            // The header alone (at most 40 bytes) sizes the record.
+            const size_t head = std::min<size_t>(rec.size(), 40);
+            const auto wire = opLogWireLen({rec.data(), head});
+            ASSERT_TRUE(wire.has_value()) << "len " << len;
+            EXPECT_EQ(*wire, rec.size()) << "len " << len;
+            EXPECT_EQ(decodeOpLog(rec)->wire_len, *wire) << "len " << len;
+        }
+        const auto rec = encodeOpLog(fmt, OpType::Insert, 3, 11, 42, val, 8);
+        EXPECT_FALSE(opLogWireLen({rec.data(), 3}).has_value());
+        EXPECT_FALSE(opLogWireLen({rec.data(), 31}).has_value());
+    }
+    const uint8_t zeros[40] = {};
+    EXPECT_FALSE(opLogWireLen(zeros).has_value());
 }
 
 TEST(TxFormatTest, ParserSniffsFormatPerRecord)
