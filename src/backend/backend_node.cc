@@ -11,13 +11,6 @@ namespace asymnvm {
 
 namespace {
 
-/** Advance a monotonic ring position past the current ring lap. */
-uint64_t
-ringSkipToWrap(uint64_t pos, uint64_t ring_size)
-{
-    return (pos / ring_size + 1) * ring_size;
-}
-
 /** True when @p type uses the seqlock reader protocol (Section 6.3). */
 bool
 isLockBased(DsType type)
@@ -266,13 +259,13 @@ BackendNode::writeLocal64(uint64_t off, uint64_t v)
 }
 
 void
-BackendNode::zeroConsumedRecordLocked(uint64_t ring_base,
-                                      uint64_t ring_size, uint64_t pos,
-                                      uint32_t len, uint32_t expect_magic)
+BackendNode::zeroConsumedRecordLocked(const LogRing &ring, uint64_t head,
+                                      uint64_t pos, uint32_t len,
+                                      uint32_t expect_magic)
 {
-    if (len == 0 || len > ring_size)
+    if (len == 0 || len > ring.size || !ring.holds(head, pos))
         return;
-    const uint64_t abs = ringReadAbs(ring_base, ring_size, pos);
+    const uint64_t abs = ring.abs(pos);
     uint32_t magic = 0;
     device_->read(abs, &magic, sizeof(magic));
     if (magic != expect_magic)
@@ -321,50 +314,8 @@ BackendNode::loadVolatileState()
         device_->read(layout_.logControlOff(s), &controls_[s],
                       sizeof(LogControl));
         slot_session_[s] = controls_[s].session_epoch;
-
-        // Rebuild the uncovered op-log window by scanning the ring from
-        // the persisted tail to the head.
-        const LogControl &c = controls_[s];
-        const uint64_t ring = layout_.super.oplog_ring_size;
-        const uint64_t base = layout_.oplogRingOff(s);
-        uint64_t pos = c.oplog_tail;
-        while (pos < c.oplog_head) {
-            const uint64_t off_in_ring = pos % ring;
-            const uint64_t contiguous = ring - off_in_ring;
-            if (contiguous < kMinOpLogWire) {
-                pos = ringSkipToWrap(pos, ring);
-                continue;
-            }
-            uint32_t magic;
-            device_->read(base + off_in_ring, &magic, sizeof(magic));
-            if (magic == kSkipMagic) {
-                pos = ringSkipToWrap(pos, ring);
-                continue;
-            }
-            auto rec = readOpLogRecord(base + off_in_ring, contiguous);
-            if (!rec.has_value())
-                break; // torn tail; handled by rollTailsForward
-            op_window_[s].push_back(
-                {rec->opn, pos, static_cast<uint32_t>(rec->wire_len)});
-            pos += rec->wire_len;
-        }
     }
     allocator_->recover();
-}
-
-std::optional<ParsedOpLog>
-BackendNode::readOpLogRecord(uint64_t abs, uint64_t contiguous) const
-{
-    uint8_t head[std::max(sizeof(OpLogHeader), sizeof(OpLogHeaderC))];
-    const size_t head_len =
-        static_cast<size_t>(std::min<uint64_t>(contiguous, sizeof(head)));
-    device_->read(abs, head, head_len);
-    const std::optional<size_t> wire = opLogWireLen({head, head_len});
-    if (!wire.has_value() || *wire > contiguous)
-        return std::nullopt;
-    std::vector<uint8_t> buf(*wire);
-    device_->read(abs, buf.data(), buf.size());
-    return decodeOpLog({buf.data(), buf.size()});
 }
 
 void
@@ -373,30 +324,7 @@ BackendNode::rollTailsForward()
     for (uint32_t s = 0; s < cfg_.max_frontends; ++s) {
         if (slot_session_[s] == 0)
             continue;
-        // Op-log tail first: a valid record beyond the recorded head means
-        // the append landed but the control update did not survive.
-        while (true) {
-            LogControl &c = controls_[s];
-            const uint64_t ring = layout_.super.oplog_ring_size;
-            const uint64_t base = layout_.oplogRingOff(s);
-            uint64_t pos = c.oplog_head;
-            uint64_t off_in_ring = pos % ring;
-            if (ring - off_in_ring < kMinOpLogWire) {
-                pos = ringSkipToWrap(pos, ring);
-                off_in_ring = pos % ring;
-            }
-            auto rec = readOpLogRecord(base + off_in_ring, ring - off_in_ring);
-            if (!rec.has_value() || rec->opn != c.opn)
-                break;
-            const bool was_empty = op_window_[s].empty();
-            op_window_[s].push_back(
-                {rec->opn, pos, static_cast<uint32_t>(rec->wire_len)});
-            if (was_empty)
-                c.oplog_tail = pos;
-            c.oplog_head = pos + rec->wire_len;
-            c.opn = rec->opn + 1;
-            writeControl(s);
-        }
+        recoverOpWindow(s);
         // Memory-log tail: roll a fully persisted (checksummed) trailing
         // transaction forward; a torn one is simply ignored — the front-
         // end never received its ack and will re-flush (Case 3.b).
@@ -404,32 +332,53 @@ BackendNode::rollTailsForward()
     }
 }
 
+void
+BackendNode::recoverOpWindow(uint32_t slot)
+{
+    LogControl &c = controls_[slot];
+    const LogRing ring = layout_.oplogRing(slot);
+    std::deque<OpWindowItem> &window = op_window_[slot];
+    // The uncovered window: every record from the persisted tail up to
+    // the persisted head. An undecodable one (a torn tail) ends it, and
+    // the walk resumes at the head.
+    uint64_t pos = c.oplog_tail;
+    while (pos < c.oplog_head) {
+        pos = ring.recordStart(*device_, pos);
+        if (pos >= c.oplog_head)
+            break;
+        const auto rec = ring.readOpLog(*device_, pos);
+        if (!rec.has_value())
+            break;
+        window.push_back(
+            {rec->opn, pos, static_cast<uint32_t>(rec->wire_len)});
+        pos += rec->wire_len;
+    }
+    // A valid record past the head carrying the next OPN landed, but its
+    // control update did not survive: roll it (and its successors)
+    // forward.
+    while (true) {
+        pos = ring.recordStart(*device_, c.oplog_head);
+        const auto rec = ring.readOpLog(*device_, pos);
+        if (!rec.has_value() || rec->opn != c.opn)
+            break;
+        if (window.empty())
+            c.oplog_tail = pos;
+        window.push_back(
+            {rec->opn, pos, static_cast<uint32_t>(rec->wire_len)});
+        c.oplog_head = pos + rec->wire_len;
+        c.opn = rec->opn + 1;
+        writeControl(slot);
+    }
+}
+
 TxValidation
 BackendNode::recoverTailTx(uint32_t slot)
 {
-    const TxValidation v = validateTail(slot);
-    if (v != TxValidation::Clean)
-        return v;
-    const LogControl &c = controls_[slot];
-    const uint64_t ring = layout_.super.memlog_ring_size;
-    const uint64_t base = layout_.memlogRingOff(slot);
-    uint64_t pos = c.memlog_head;
-    uint64_t off_in_ring = pos % ring;
-    if (ring - off_in_ring < kMinTxWire) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-    } else {
-        uint32_t magic;
-        device_->read(base + off_in_ring, &magic, sizeof(magic));
-        if (magic == kSkipMagic) {
-            pos = ringSkipToWrap(pos, ring);
-            off_in_ring = pos % ring;
-        }
-    }
-    TxHeader hdr;
-    device_->read(base + off_in_ring, &hdr, sizeof(hdr));
-    const uint32_t len = static_cast<uint32_t>(txWireLen(hdr));
-    onTxAppended(slot, pos, len, 0);
+    uint64_t pos = 0;
+    uint32_t len = 0;
+    const TxValidation v = validateTail(slot, &pos, &len);
+    if (v == TxValidation::Clean)
+        onTxAppended(slot, pos, len, 0);
     return v;
 }
 
@@ -479,13 +428,6 @@ BackendNode::readControl(uint32_t slot) const
     return controls_[slot];
 }
 
-uint64_t
-BackendNode::ringReadAbs(uint64_t ring_base, uint64_t ring_size,
-                         uint64_t pos) const
-{
-    return ring_base + pos % ring_size;
-}
-
 Status
 BackendNode::onOpLogAppended(uint32_t slot, uint64_t pos, uint32_t len,
                              uint64_t now_ns, bool fenced)
@@ -494,8 +436,7 @@ BackendNode::onOpLogAppended(uint32_t slot, uint64_t pos, uint32_t len,
     if (slot >= cfg_.max_frontends || slot_session_[slot] == 0)
         return Status::InvalidArgument;
     LogControl &c = controls_[slot];
-    const uint64_t ring = layout_.super.oplog_ring_size;
-    const uint64_t abs = ringReadAbs(layout_.oplogRingOff(slot), ring, pos);
+    const uint64_t abs = layout_.oplogRing(slot).abs(pos);
 
     std::vector<uint8_t> buf(len);
     device_->read(abs, buf.data(), len);
@@ -541,8 +482,8 @@ BackendNode::onTxAppended(uint32_t slot, uint64_t pos, uint32_t len,
     if (slot >= cfg_.max_frontends || slot_session_[slot] == 0)
         return Status::InvalidArgument;
     LogControl &c = controls_[slot];
-    const uint64_t ring = layout_.super.memlog_ring_size;
-    const uint64_t abs = ringReadAbs(layout_.memlogRingOff(slot), ring, pos);
+    const LogRing ring = layout_.memlogRing(slot);
+    const uint64_t abs = ring.abs(pos);
 
     std::vector<uint8_t> buf(len);
     device_->read(abs, buf.data(), len);
@@ -583,18 +524,12 @@ BackendNode::onTxAppended(uint32_t slot, uint64_t pos, uint32_t len,
     c.memlog_applied = c.memlog_head;
 
     if (zb) {
-        // Zero retired records only while their bytes are provably not
-        // lapped by newer appends (head − pos ≤ ring); the magic guard
-        // inside the helper re-checks against re-delivery races.
-        if (prev_tx_len > 0 && c.memlog_head - prev_tx_off <= ring)
-            zeroConsumedRecordLocked(layout_.memlogRingOff(slot), ring,
-                                     prev_tx_off, prev_tx_len, kTxMagicZb);
-        const uint64_t oring = layout_.super.oplog_ring_size;
-        for (const OpWindowItem &item : popped) {
-            if (c.oplog_head - item.pos <= oring)
-                zeroConsumedRecordLocked(layout_.oplogRingOff(slot), oring,
-                                         item.pos, item.len, kOpMagicZb);
-        }
+        zeroConsumedRecordLocked(ring, c.memlog_head, prev_tx_off,
+                                 prev_tx_len, kTxMagicZb);
+        const LogRing oring = layout_.oplogRing(slot);
+        for (const OpWindowItem &item : popped)
+            zeroConsumedRecordLocked(oring, c.oplog_head, item.pos,
+                                     item.len, kOpMagicZb);
     }
     writeControl(slot);
 
@@ -632,14 +567,12 @@ BackendNode::replayTx(uint32_t slot, const TxParser &tx)
             // de-stuff) the value. Records never straddle the ring wrap,
             // so clamping to the contiguous remainder never truncates a
             // valid reference.
-            const uint64_t ring = layout_.super.oplog_ring_size;
-            const uint64_t abs =
-                ringReadAbs(layout_.oplogRingOff(slot), ring, m.oplog_off);
+            const LogRing ring = layout_.oplogRing(slot);
             const uint64_t span =
                 std::min<uint64_t>(opLogValueSpanBytes(m.val_off, m.len),
-                                   ring - m.oplog_off % ring);
+                                   ring.contiguous(m.oplog_off));
             std::vector<uint8_t> rec(span);
-            device_->read(abs, rec.data(), span);
+            device_->read(ring.abs(m.oplog_off), rec.data(), span);
             tmp.assign(m.len, 0);
             extractOpLogValue({rec.data(), rec.size()}, m.val_off, m.len,
                               tmp.data());
@@ -828,36 +761,28 @@ BackendNode::rpcLookupName(uint64_t name_hash, DsId *id, DsType *type) const
 }
 
 TxValidation
-BackendNode::validateTail(uint32_t slot)
+BackendNode::validateTail(uint32_t slot, uint64_t *pos, uint32_t *len)
 {
     std::lock_guard lock(mu_);
     const LogControl &c = controls_[slot];
-    const uint64_t ring = layout_.super.memlog_ring_size;
-    const uint64_t base = layout_.memlogRingOff(slot);
-    uint64_t pos = c.memlog_head;
-    uint64_t off_in_ring = pos % ring;
-    if (ring - off_in_ring < kMinTxWire) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-    }
+    const LogRing ring = layout_.memlogRing(slot);
+    const uint64_t at = ring.recordStart(*device_, c.memlog_head);
     TxHeader hdr;
-    device_->read(base + off_in_ring, &hdr, sizeof(hdr));
-    if (hdr.magic == kSkipMagic) {
-        pos = ringSkipToWrap(pos, ring);
-        off_in_ring = pos % ring;
-        device_->read(base + off_in_ring, &hdr, sizeof(hdr));
-    }
+    device_->read(ring.abs(at), &hdr, sizeof(hdr));
     if (!txMagicKind(hdr.magic).has_value() || hdr.lpn != c.lpn)
         return TxValidation::None; // nothing (or only stale bytes) there
-    const uint64_t max_len = ring - off_in_ring;
     const uint64_t need = txWireLen(hdr);
-    if (need > max_len)
+    if (need > ring.contiguous(at))
         return TxValidation::Torn;
     std::vector<uint8_t> buf(need);
-    device_->read(base + off_in_ring, buf.data(), need);
-    return TxParser::parse({buf.data(), buf.size()}).has_value()
-               ? TxValidation::Clean
-               : TxValidation::Torn;
+    device_->read(ring.abs(at), buf.data(), need);
+    if (!TxParser::parse({buf.data(), buf.size()}).has_value())
+        return TxValidation::Torn;
+    if (pos != nullptr)
+        *pos = at;
+    if (len != nullptr)
+        *len = static_cast<uint32_t>(need);
+    return TxValidation::Clean;
 }
 
 std::vector<ParsedOpLog>
@@ -865,11 +790,10 @@ BackendNode::uncoveredOps(uint32_t slot) const
 {
     std::lock_guard lock(mu_);
     std::vector<ParsedOpLog> out;
-    const uint64_t ring = layout_.super.oplog_ring_size;
-    const uint64_t base = layout_.oplogRingOff(slot);
+    const LogRing ring = layout_.oplogRing(slot);
     for (const OpWindowItem &item : op_window_[slot]) {
         std::vector<uint8_t> buf(item.len);
-        device_->read(base + item.pos % ring, buf.data(), item.len);
+        device_->read(ring.abs(item.pos), buf.data(), item.len);
         auto rec = decodeOpLog({buf.data(), buf.size()});
         if (rec.has_value())
             out.push_back(std::move(*rec));

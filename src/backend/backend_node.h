@@ -225,9 +225,12 @@ class BackendNode
 
     /**
      * Validate the durability of the newest transaction bytes a front-end
-     * may have in flight at its memlog head (Case 2/3).
+     * may have in flight at its memlog head (Case 2/3). On Clean, @p pos
+     * and @p len (when given) receive the transaction's ring position
+     * and wire length.
      */
-    TxValidation validateTail(uint32_t slot);
+    TxValidation validateTail(uint32_t slot, uint64_t *pos = nullptr,
+                              uint32_t *len = nullptr);
 
     /**
      * Case 2.a/3.a: if a fully persisted transaction sits unprocessed at
@@ -333,12 +336,13 @@ class BackendNode
     /**
      * Zero one consumed zero-based record's bytes in a log ring (mu_
      * held): restores the pre-zeroed invariant the zero-based format's
-     * presence check relies on, off the front-end critical path. A
+     * presence check relies on, off the front-end critical path. Only a
+     * record that appends up to @p head have not lapped is zeroed, and a
      * guard read of the leading magic keeps the zeroing record-exact —
      * skip markers and records of other formats are left untouched, so
      * classic/header-dancing device images stay bit-identical.
      */
-    void zeroConsumedRecordLocked(uint64_t ring_base, uint64_t ring_size,
+    void zeroConsumedRecordLocked(const LogRing &ring, uint64_t head,
                                   uint64_t pos, uint32_t len,
                                   uint32_t expect_magic);
 
@@ -348,16 +352,12 @@ class BackendNode
     void writeControl(uint32_t slot);
     void loadVolatileState();
     void rollTailsForward();
-    /** Decode the op-log record at device offset @p abs, reading its
-     *  header and then exactly its wire length; nullopt when the record
-     *  does not fit the @p contiguous ring bytes left or does not decode.
-     *  The one record read both recovery scans share. */
-    std::optional<ParsedOpLog> readOpLogRecord(uint64_t abs,
-                                               uint64_t contiguous) const;
+    /** Recovery's one op-log walk for @p slot: rebuild the uncovered
+     *  window from the persisted tail to the head, then roll landed
+     *  records past the head forward while they carry the next OPN. */
+    void recoverOpWindow(uint32_t slot);
     void replayTx(uint32_t slot, const TxParser &tx);
     void processGcLocked(uint64_t now_ns, bool force);
-    uint64_t ringReadAbs(uint64_t ring_base, uint64_t ring_size,
-                         uint64_t pos) const;
 
     NodeId id_;
     BackendConfig cfg_;

@@ -1,6 +1,10 @@
 #include "backend/layout.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "nvm/nvm_device.h"
 
 namespace asymnvm {
 
@@ -13,6 +17,43 @@ alignUp(uint64_t v, uint64_t a)
 }
 
 } // namespace
+
+std::span<const uint8_t>
+LogRing::pad(uint64_t head) const
+{
+    static constexpr uint8_t kZeros[sizeof(kSkipMagic)] = {};
+    if (contiguous(head) < sizeof(kSkipMagic))
+        return {kZeros, contiguous(head)};
+    return {reinterpret_cast<const uint8_t *>(&kSkipMagic),
+            sizeof(kSkipMagic)};
+}
+
+uint64_t
+LogRing::recordStart(const NvmDevice &dev, uint64_t pos) const
+{
+    if (contiguous(pos) >= min_record) {
+        uint32_t word = 0;
+        dev.read(abs(pos), &word, sizeof(word));
+        if (word != kSkipMagic)
+            return pos;
+    }
+    return nextLap(pos);
+}
+
+std::optional<ParsedOpLog>
+LogRing::readOpLog(const NvmDevice &dev, uint64_t pos) const
+{
+    const uint64_t room = contiguous(pos);
+    uint8_t head[std::max(sizeof(OpLogHeader), sizeof(OpLogHeaderC))];
+    const size_t head_len = std::min<uint64_t>(room, sizeof(head));
+    dev.read(abs(pos), head, head_len);
+    const std::optional<size_t> wire = opLogWireLen({head, head_len});
+    if (!wire.has_value() || *wire > room)
+        return std::nullopt;
+    std::vector<uint8_t> buf(*wire);
+    dev.read(abs(pos), buf.data(), buf.size());
+    return decodeOpLog({buf.data(), buf.size()});
+}
 
 Layout
 Layout::compute(const BackendConfig &cfg)

@@ -18,11 +18,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 
+#include "backend/log_format.h"
 #include "common/types.h"
 #include "sim/nic_qos.h"
 
 namespace asymnvm {
+
+class NvmDevice;
 
 /** Data-structure types registered in the naming space. */
 enum class DsType : uint32_t
@@ -122,6 +127,51 @@ struct LogControl
 
 static_assert(sizeof(LogControl) == 128, "LogControl is a 128B NVM slot");
 
+/**
+ * One per-front-end log ring and the one rule that every writer and
+ * every scan of it follows. Positions are monotonic byte counts (the
+ * LogControl heads); position p is byte p % size of lap p / size.
+ *
+ *  - placement: a record of len bytes appended at head starts at head
+ *    when it fits the lap's rest, else at the next lap's start. A record
+ *    longer than the ring has no placement and is refused.
+ *  - pad: before a record moves to the next lap, the writer writes a
+ *    kSkipMagic word at head, or zeroes when under 4 bytes remain.
+ *  - skip: a reader moves to the next lap when the rest is shorter than
+ *    the ring's smallest record or begins with a kSkipMagic word.
+ */
+struct LogRing
+{
+    uint64_t base = 0;       //!< device offset of the ring's first byte
+    uint64_t size = 0;       //!< bytes per lap
+    uint64_t min_record = 0; //!< smallest record the ring holds
+
+    uint64_t lap(uint64_t pos) const { return pos / size; }
+    uint64_t nextLap(uint64_t pos) const { return (lap(pos) + 1) * size; }
+    /** Device offset of position @p pos. */
+    uint64_t abs(uint64_t pos) const { return base + pos % size; }
+    /** Bytes from @p pos to the end of its lap. */
+    uint64_t contiguous(uint64_t pos) const { return size - pos % size; }
+    /** True while appends up to @p head leave a record at @p at intact. */
+    bool holds(uint64_t head, uint64_t at) const { return head - at <= size; }
+    /** Start of a @p len-byte record appended at @p head; nullopt when
+     *  the record is longer than the ring. */
+    std::optional<uint64_t> place(uint64_t head, uint64_t len) const
+    {
+        if (len > size)
+            return std::nullopt;
+        return len <= contiguous(head) ? head : nextLap(head);
+    }
+    /** The pad to write at @p head when place() moved past it. */
+    std::span<const uint8_t> pad(uint64_t head) const;
+    /** The skip rule: where a record at or after @p pos may start. */
+    uint64_t recordStart(const NvmDevice &dev, uint64_t pos) const;
+    /** The op-log record at @p pos, read header first and then exactly
+     *  its wire length; nullopt when it overruns the lap or is corrupt. */
+    std::optional<ParsedOpLog> readOpLog(const NvmDevice &dev,
+                                         uint64_t pos) const;
+};
+
 /** Static configuration of one back-end node. */
 struct BackendConfig
 {
@@ -161,19 +211,24 @@ struct Layout
         return super.felog_off + fe_slot * super.felog_stride;
     }
 
-    uint64_t memlogRingOff(uint32_t fe_slot) const
+    /** The memory-log ring of @p fe_slot, right after its control. */
+    LogRing memlogRing(uint32_t fe_slot) const
     {
-        return logControlOff(fe_slot) + sizeof(LogControl);
+        return {logControlOff(fe_slot) + sizeof(LogControl),
+                super.memlog_ring_size, kMinTxWire};
     }
 
-    uint64_t oplogRingOff(uint32_t fe_slot) const
+    /** The operation-log ring of @p fe_slot. */
+    LogRing oplogRing(uint32_t fe_slot) const
     {
-        return memlogRingOff(fe_slot) + super.memlog_ring_size;
+        const LogRing mem = memlogRing(fe_slot);
+        return {mem.base + mem.size, super.oplog_ring_size, kMinOpLogWire};
     }
 
     uint64_t rpcReqRingOff(uint32_t fe_slot) const
     {
-        return oplogRingOff(fe_slot) + super.oplog_ring_size;
+        const LogRing op = oplogRing(fe_slot);
+        return op.base + op.size;
     }
 
     uint64_t rpcRespRingOff(uint32_t fe_slot) const

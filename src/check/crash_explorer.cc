@@ -589,6 +589,16 @@ exploreCrashPoints(const ExplorerOptions &opt)
         for (const auto &m : d.mismatches)
             res.violations.push_back("[" + tag + " clean] " + m);
         lens = fi.recordedWriteLens();
+        const BackendNode &node = *run->cluster->backend(kBackend);
+        for (uint32_t s = 0; s < opt.backend.max_frontends; ++s) {
+            const LogControl ctl = node.readControl(s);
+            res.oplog_laps = std::max(
+                res.oplog_laps,
+                node.layout().oplogRing(s).lap(ctl.oplog_head));
+            res.memlog_laps = std::max(
+                res.memlog_laps,
+                node.layout().memlogRing(s).lap(ctl.memlog_head));
+        }
     }
     res.workload_verbs = lens.size();
     if (lens.empty()) {

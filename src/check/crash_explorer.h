@@ -70,6 +70,8 @@ struct ExplorerResult
     uint64_t points_run = 0;     //!< distinct (verb, tear) points executed
     uint64_t crashes_fired = 0;
     uint64_t recoveries = 0;     //!< recoveries that completed
+    uint64_t oplog_laps = 0;     //!< op-log ring laps in the clean run
+    uint64_t memlog_laps = 0;    //!< memory-log ring laps in the clean run
     std::vector<std::string> violations;
 
     std::string violationText() const;

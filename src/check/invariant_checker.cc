@@ -106,7 +106,7 @@ void
 InvariantChecker::checkLogControl(uint32_t slot, AuditReport *rep)
 {
     const LogControl ctl = node_->readControl(slot);
-    const SuperBlock &sb = node_->layout().super;
+    const LogRing ring = node_->layout().oplogRing(slot);
     auto bad = [&](const std::string &d) {
         rep->add("log control (slot " + std::to_string(slot) + "): " + d);
     };
@@ -117,7 +117,7 @@ InvariantChecker::checkLogControl(uint32_t slot, AuditReport *rep)
         bad("memlog_applied ahead of memlog_head");
     if (ctl.oplog_tail > ctl.oplog_head)
         bad("oplog_tail ahead of oplog_head");
-    if (ctl.oplog_head - ctl.oplog_tail > sb.oplog_ring_size)
+    if (!ring.holds(ctl.oplog_head, ctl.oplog_tail))
         bad("uncovered op window wider than the op-log ring");
     if (ctl.lock_ahead != 0)
         bad("lock-ahead record not cleared by recovery");
@@ -129,6 +129,16 @@ InvariantChecker::checkLogControl(uint32_t slot, AuditReport *rep)
     if (decodable != window)
         bad(std::to_string(window - decodable) +
             " op-window record(s) do not decode");
+    // Recovery rolls every landed record past the head forward while it
+    // carries the next OPN; one still found there, past any lap pad,
+    // means the roll-forward stopped early.
+    if (ctl.session_epoch != 0) {
+        const auto next = ring.readOpLog(
+            node_->nvm(), ring.recordStart(node_->nvm(), ctl.oplog_head));
+        if (next.has_value() && next->opn == ctl.opn)
+            bad("landed op-log record opn " + std::to_string(ctl.opn) +
+                " past the head was not rolled forward");
+    }
 }
 
 void

@@ -763,6 +763,10 @@ FrontendSession::symmetricWrite(RemotePtr addr, const void *value,
     BackendCtx *c = ctx(addr.backend);
     if (c == nullptr)
         return Status::Unavailable;
+    const LogRing ship{0, kSymLogRingSize};
+    const std::optional<uint64_t> pos = ship.place(sym_log_head_, len);
+    if (!pos.has_value())
+        return Status::InvalidArgument;
     c->node->nvm().write(addr.offset, value, len);
     c->node->nvm().persist();
     // Local persistence is paid per cache line: every 64B of a node
@@ -773,12 +777,9 @@ FrontendSession::symmetricWrite(RemotePtr addr, const void *value,
     // ring positions merge into one wire write, and the doorbell (plus
     // remote persist fence) is paid at the shipping point — per op
     // without batching, per group with Symmetric-B (see opEnd/flushAll).
-    const uint64_t pos = sym_log_head_ % kSymLogRingSize;
-    const uint64_t room = kSymLogRingSize - pos;
-    const RemotePtr dst(kSymReplicaId, len <= room ? pos : 0);
-    verbs_.postWrite(dst, value, len);
-    sym_log_head_ = (len <= room ? sym_log_head_ : sym_log_head_ + room) +
-                    len;
+    // The replica only receives the ring, so a wrap leaves no pad.
+    verbs_.postWrite(RemotePtr(kSymReplicaId, ship.abs(*pos)), value, len);
+    sym_log_head_ = *pos + len;
     return Status::Ok;
 }
 
@@ -921,13 +922,13 @@ FrontendSession::appendOpLogRecord(BackendCtx &c,
                                    const std::vector<uint8_t> &rec,
                                    bool sync)
 {
-    const Layout &lay = c.node->layout();
-    const uint64_t ring = lay.super.oplog_ring_size;
-    const uint64_t base = lay.oplogRingOff(c.slot);
-    const uint64_t pos = ringReserve(&c.oplog_head, ring, base,
-                                     c.node->id(), rec.size(), sync);
-    c.last_oplog_pos = pos;
-    const RemotePtr dst(c.node->id(), base + pos % ring);
+    const LogRing ring = c.node->layout().oplogRing(c.slot);
+    const std::optional<uint64_t> pos =
+        ringReserve(&c.oplog_head, ring, c.node->id(), rec.size(), sync);
+    if (!pos.has_value())
+        return Status::InvalidArgument;
+    c.last_oplog_pos = *pos;
+    const RemotePtr dst(c.node->id(), ring.abs(*pos));
     // Batched appends join the doorbell chain, where consecutive ring
     // positions merge into one RDMA_Write; the group commit's synchronous
     // transaction write is the fence that launches and covers them.
@@ -935,42 +936,30 @@ FrontendSession::appendOpLogRecord(BackendCtx &c,
                            : verbs_.postWrite(dst, rec.data(), rec.size());
     if (!ok(st))
         return st;
-    return c.node->onOpLogAppended(c.slot, pos,
+    return c.node->onOpLogAppended(c.slot, *pos,
                                    static_cast<uint32_t>(rec.size()),
                                    clock_.now(), /*fenced=*/sync);
 }
 
-uint64_t
-FrontendSession::ringReserve(uint64_t *head, uint64_t ring_size,
-                             uint64_t ring_base, NodeId backend, size_t len,
-                             bool sync)
+std::optional<uint64_t>
+FrontendSession::ringReserve(uint64_t *head, const LogRing &ring,
+                             NodeId backend, size_t len, bool sync)
 {
-    assert(len <= ring_size);
-    const uint64_t off = *head % ring_size;
-    if (off + len > ring_size) {
-        // Pad the lap tail so recovery scans cannot misparse stale bytes:
-        // a skip marker when one fits, zeroes for a sub-4-byte remainder.
+    const std::optional<uint64_t> pos = ring.place(*head, len);
+    if (!pos.has_value())
+        return std::nullopt;
+    if (*pos != *head) {
+        // Pad the lap tail so recovery scans cannot misparse stale bytes.
         // The pad must reach NVM no later than the record written past it,
         // so it follows the caller's synchrony.
-        const uint64_t tail = ring_size - off;
-        const RemotePtr dst(backend, ring_base + off);
-        if (tail >= sizeof(uint32_t)) {
-            const uint32_t skip = kSkipMagic;
-            if (sync)
-                verbs_.write(dst, &skip, sizeof(skip));
-            else
-                verbs_.postWrite(dst, &skip, sizeof(skip));
-        } else if (tail > 0) {
-            const uint8_t zeros[4] = {0, 0, 0, 0};
-            if (sync)
-                verbs_.write(dst, zeros, tail);
-            else
-                verbs_.postWrite(dst, zeros, tail);
-        }
-        *head = (*head / ring_size + 1) * ring_size;
+        const std::span<const uint8_t> pad = ring.pad(*head);
+        const RemotePtr dst(backend, ring.abs(*head));
+        if (sync)
+            verbs_.write(dst, pad.data(), pad.size());
+        else
+            verbs_.postWrite(dst, pad.data(), pad.size());
     }
-    const uint64_t pos = *head;
-    *head += len;
+    *head = *pos + len;
     return pos;
 }
 
@@ -1052,12 +1041,12 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     const auto tx = builder.finish();
     clock_.advance(lat_.cpu_op_overhead_ns); // serialize in DRAM
 
-    const Layout &lay = c.node->layout();
-    const uint64_t ring = lay.super.memlog_ring_size;
-    const uint64_t base = lay.memlogRingOff(c.slot);
-    const uint64_t pos = ringReserve(&c.memlog_head, ring, base,
-                                     c.node->id(), tx.size(), sync_commit);
-    const RemotePtr dst(c.node->id(), base + pos % ring);
+    const LogRing ring = c.node->layout().memlogRing(c.slot);
+    const std::optional<uint64_t> pos = ringReserve(
+        &c.memlog_head, ring, c.node->id(), tx.size(), sync_commit);
+    if (!pos.has_value())
+        return Status::InvalidArgument;
+    const RemotePtr dst(c.node->id(), ring.abs(*pos));
     // Non-commit transaction writes ride the doorbell chain with the op
     // logs; the synchronous commit write drains the chain first (queue-
     // pair ordering), making it the whole batch's persistence point.
@@ -1068,7 +1057,7 @@ FrontendSession::flushGroup(BackendCtx &c, DsId ds, bool sync_commit)
     if (!ok(st))
         return st;
     const Status bst = c.node->onTxAppended(
-        c.slot, pos, static_cast<uint32_t>(tx.size()), clock_.now());
+        c.slot, *pos, static_cast<uint32_t>(tx.size()), clock_.now());
     if (!ok(bst))
         return bst;
     c.lpn += 1;

@@ -914,9 +914,12 @@ class FrontendSession
     Status appendOpLogRecord(BackendCtx &c,
                              const std::vector<uint8_t> &rec,
                              bool sync);
-    uint64_t ringReserve(uint64_t *head, uint64_t ring_size,
-                         uint64_t ring_base, NodeId backend, size_t len,
-                         bool sync);
+    /** Place a @p len-byte record in @p ring at *@p head and post the
+     *  lap pad if it moves to the next lap (LogRing, backend/layout.h);
+     *  nullopt, with nothing posted, when it is longer than the ring. */
+    std::optional<uint64_t> ringReserve(uint64_t *head, const LogRing &ring,
+                                        NodeId backend, size_t len,
+                                        bool sync);
     void overlayInsert(RemotePtr addr, const void *value, uint32_t len);
     bool overlayLookup(RemotePtr addr, void *dst, uint32_t len) const;
     Status symmetricRead(RemotePtr addr, void *dst, uint32_t len);

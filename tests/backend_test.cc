@@ -188,10 +188,8 @@ struct RawAppender
         for (auto &[addr, val] : writes)
             b.addInline(RemotePtr(be->id(), addr), &val, 8);
         const auto bytes = b.finish();
-        const Layout &lay = be->layout();
-        const uint64_t base = lay.memlogRingOff(slot);
         const uint64_t pos = memlog_head;
-        be->nvm().write(base + pos % lay.super.memlog_ring_size,
+        be->nvm().write(be->layout().memlogRing(slot).abs(pos),
                         bytes.data(), bytes.size());
         be->nvm().persist();
         memlog_head += bytes.size();
@@ -203,10 +201,8 @@ struct RawAppender
                     uint64_t value)
     {
         const auto rec = encodeOpLog(op, ds, opn, key, &value, 8);
-        const Layout &lay = be->layout();
-        const uint64_t base = lay.oplogRingOff(slot);
         const uint64_t pos = oplog_head;
-        be->nvm().write(base + pos % lay.super.oplog_ring_size,
+        be->nvm().write(be->layout().oplogRing(slot).abs(pos),
                         rec.data(), rec.size());
         be->nvm().persist();
         oplog_head += rec.size();
@@ -279,7 +275,7 @@ TEST(ReplayTest, TornTxRejectedAndNotReplayed)
     const auto bytes = b.finish();
     // Write only a prefix (torn RDMA_Write).
     const Layout &lay = be.layout();
-    be.nvm().write(lay.memlogRingOff(slot), bytes.data(),
+    be.nvm().write(lay.memlogRing(slot).base, bytes.data(),
                    bytes.size() - 5);
     be.nvm().persist();
     EXPECT_EQ(be.onTxAppended(slot, 0,
@@ -324,7 +320,7 @@ TEST(RecoveryTest, CleanTailRollsForwardOnRestart)
         const uint64_t v = 0x11aa;
         b.addInline(RemotePtr(1, dst), &v, 8);
         const auto bytes = b.finish();
-        be.nvm().write(be.layout().memlogRingOff(slot), bytes.data(),
+        be.nvm().write(be.layout().memlogRing(slot).base, bytes.data(),
                        bytes.size());
         be.nvm().persist();
         dev = be.device();
@@ -350,7 +346,7 @@ TEST(RecoveryTest, TornTailIgnoredOnRestart)
         const uint64_t v = 0x22bb;
         b.addInline(RemotePtr(1, dst), &v, 8);
         const auto bytes = b.finish();
-        be.nvm().write(be.layout().memlogRingOff(slot), bytes.data(),
+        be.nvm().write(be.layout().memlogRing(slot).base, bytes.data(),
                        bytes.size() - 3); // torn
         be.nvm().persist();
         dev = be.device();
@@ -371,7 +367,7 @@ TEST(RecoveryTest, OpLogTailRollsForwardOnRestart)
         // Op log lands, ack lost.
         const uint64_t val = 42;
         const auto rec = encodeOpLog(OpType::Insert, 0, 0, 7, &val, 8);
-        be.nvm().write(be.layout().oplogRingOff(slot), rec.data(),
+        be.nvm().write(be.layout().oplogRing(slot).base, rec.data(),
                        rec.size());
         be.nvm().persist();
         dev = be.device();

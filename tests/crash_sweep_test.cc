@@ -8,6 +8,8 @@
  * indices (and, for logged modes, at interior 64-byte tear prefixes of
  * the in-flight write), then recovering and auditing the durable image
  * with InvariantChecker. Any violation string is a real recovery bug.
+ * A second ring input shrinks the log rings until both lap repeatedly,
+ * so crash points land on lap pads and records placed past them.
  *
  * ASYMNVM_SWEEP_BUDGET=<n> shrinks the per-preset verb sample (useful
  * under sanitizers); the >= 200 distinct-crash-point floor is only
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -85,22 +88,50 @@ constexpr PresetParam kPresets[] = {
     {"rcb", presetRcb},
 };
 
-class CrashSweepTest : public ::testing::TestWithParam<WorkloadKind>
+/** Log-ring sizes (and script length) of one sweep input. */
+struct RingParam
+{
+    const char *name;           //!< test-name suffix; "" for the default
+    uint64_t oplog_ring_size;   //!< 0 keeps sweepBackendConfig()'s rings
+    uint64_t memlog_ring_size;
+    uint32_t ops;               //!< script length (with explicit rings)
+    uint64_t min_laps;          //!< laps both rings make in the clean run
+    std::span<const PresetParam> presets;
+};
+
+const RingParam kRings[] = {
+    {"", 0, 0, 0, 0, kPresets},
+    // Small rings: every log-writing preset laps both rings several
+    // times, and at the default budget every verb is a crash point.
+    {"wrap", 4ull << 10, 4ull << 10, 200, 2,
+     std::span<const PresetParam>(kPresets).subspan(2)},
+};
+
+class CrashSweepTest
+    : public ::testing::TestWithParam<std::tuple<WorkloadKind, RingParam>>
 {};
 
 TEST_P(CrashSweepTest, RecoversAtEverySampledCrashPoint)
 {
+    const RingParam &rings = std::get<1>(GetParam());
     uint64_t total_points = 0;
-    for (const PresetParam &preset : kPresets) {
+    for (const PresetParam &preset : rings.presets) {
         SCOPED_TRACE(preset.name);
         ExplorerOptions opt;
-        opt.kind = GetParam();
+        opt.kind = std::get<0>(GetParam());
         opt.session = preset.make();
         opt.max_points = sweepBudget();
+        if (rings.oplog_ring_size != 0) {
+            opt.backend.oplog_ring_size = rings.oplog_ring_size;
+            opt.backend.memlog_ring_size = rings.memlog_ring_size;
+            opt.ops = rings.ops;
+        }
         const ExplorerResult res = exploreCrashPoints(opt);
 
         EXPECT_GT(res.workload_verbs, 0u);
         EXPECT_GT(res.points_run, 0u);
+        EXPECT_GE(res.oplog_laps, rings.min_laps);
+        EXPECT_GE(res.memlog_laps, rings.min_laps);
         // Every sampled point must actually crash the back-end and
         // complete the recovery protocol.
         EXPECT_EQ(res.crashes_fired, res.points_run);
@@ -116,10 +147,18 @@ TEST_P(CrashSweepTest, RecoversAtEverySampledCrashPoint)
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, CrashSweepTest,
-    ::testing::Values(WorkloadKind::Stack, WorkloadKind::Queue,
-                      WorkloadKind::HashTable, WorkloadKind::SkipList),
-    [](const ::testing::TestParamInfo<WorkloadKind> &info) {
-        return workloadName(info.param);
+    ::testing::Combine(::testing::Values(WorkloadKind::Stack,
+                                         WorkloadKind::Queue,
+                                         WorkloadKind::HashTable,
+                                         WorkloadKind::SkipList),
+                       ::testing::ValuesIn(kRings)),
+    [](const ::testing::TestParamInfo<std::tuple<WorkloadKind, RingParam>>
+           &info) {
+        const RingParam &rings = std::get<1>(info.param);
+        std::string name = workloadName(std::get<0>(info.param));
+        if (*rings.name != '\0')
+            name += std::string("_") + rings.name;
+        return name;
     });
 
 /**
@@ -370,7 +409,7 @@ TEST(OpLogRingWrapTest, SubMarkerTailIsZeroFilled)
     ASSERT_EQ(Stack::create(s, 1, "wrap", &st), Status::Ok);
 
     // Poison the ring to stand in for stale records of a previous lap.
-    const uint64_t base = be.layout().oplogRingOff(0);
+    const uint64_t base = be.layout().oplogRing(0).base;
     std::vector<uint8_t> junk(975, 0xAA);
     be.nvm().write(base, junk.data(), junk.size());
     be.nvm().persist();
@@ -396,7 +435,7 @@ TEST(OpLogRingWrapTest, MarkerWrittenWhenTailFitsOne)
     Stack st;
     ASSERT_EQ(Stack::create(s, 1, "wrap", &st), Status::Ok);
 
-    const uint64_t base = be.layout().oplogRingOff(0);
+    const uint64_t base = be.layout().oplogRing(0).base;
     std::vector<uint8_t> junk(976, 0xAA);
     be.nvm().write(base, junk.data(), junk.size());
     be.nvm().persist();
@@ -408,6 +447,43 @@ TEST(OpLogRingWrapTest, MarkerWrittenWhenTailFitsOne)
     uint32_t marker = 0;
     be.nvm().read(base + 9 * kPushRecLen, &marker, sizeof(marker));
     EXPECT_EQ(marker, kSkipMagic);
+}
+
+/**
+ * A record longer than its whole ring has no placement: the commit is
+ * refused before any verb is posted, rather than written from the
+ * memory-log ring's start over the op-log ring that follows it.
+ */
+TEST(LogRingOversizeTest, TransactionLongerThanItsRingIsRefused)
+{
+    BackendConfig cfg = wrapConfig(64ull << 10);
+    cfg.memlog_ring_size = 4ull << 10;
+    BackendNode be(1, cfg);
+    FrontendSession s(SessionConfig::rcb(1, 256ull << 10, 1024));
+    ASSERT_EQ(s.connect(&be), Status::Ok);
+    Stack st;
+    ASSERT_EQ(Stack::create(s, 1, "big", &st), Status::Ok);
+    ASSERT_EQ(s.flushAll(), Status::Ok);
+    for (uint64_t i = 0; i < 200; ++i)
+        ASSERT_EQ(st.push(Value::ofU64(i)), Status::Ok);
+
+    // The memory-log ring is directly followed by the op-log ring.
+    auto rings = [&] {
+        std::vector<uint8_t> bytes(cfg.memlog_ring_size +
+                                   cfg.oplog_ring_size);
+        be.nvm().read(be.layout().memlogRing(0).base, bytes.data(),
+                      bytes.size());
+        return bytes;
+    };
+    const std::vector<uint8_t> before = rings();
+    const uint64_t memlog_head = be.readControl(0).memlog_head;
+
+    EXPECT_EQ(s.flushAll(), Status::InvalidArgument);
+    EXPECT_EQ(be.readControl(0).memlog_head, memlog_head);
+    EXPECT_TRUE(rings() == before) << "a log ring was written";
+    uint32_t magic = 0;
+    be.nvm().read(be.layout().oplogRing(0).base, &magic, sizeof(magic));
+    EXPECT_EQ(magic, kOpMagic);
 }
 
 } // namespace
